@@ -7,29 +7,40 @@ curves, type II is two arc classes of even multiplicities, and type III
 is three arc classes spanning a triangle of the Farey tessellation.  The
 total arc count is minus the tb of the boundary knot.
 
-Because the fiber returns to itself through the monodromy, a
-configuration may be freely replaced by any power of the monodromy
-applied to its slopes.  Bypass moves then drive a three-arc
+Because the fiber returns to itself through the monodromy
+M = [[2, 1], [1, 1]], a configuration may be freely replaced by any power
+of M applied to its slopes.  Bypass moves then drive a three-arc
 configuration toward one of two terminal orbits:
 
 * the orbit of {1, 2, inf} - the unique tight normal form, and
 * the orbit of {0, 1, inf} - which supports no tight structure.
 
-The move engine implements the transitions that are forced by the
-position of the slopes relative to the attracting fixed slope of the
-monodromy.  With every slope above the fixed point the triangle flips
-toward {1, 2, inf} (or temporarily collapses to a one-class
-configuration and re-expands); with every slope below, flips lead to the
-gateway triangle {0, 1/2, 1}; straddling triangles sit on the chain of
-tessellation triangles crossed by the monodromy axis and step directly
-into the {0, 1, inf} orbit.  Configurations with more than three arcs
-always admit a bypass that produces a boundary-parallel dividing curve,
-i.e. a destabilization of the boundary knot; those are reported as
-destabilizing moves rather than state transitions.
+Both fixed slopes of M are irrational, so every orbit has exactly one
+representative in a canonical window.  Applying M moves every slope into
+[0, inf]; applying M^-1 then moves the slopes out toward the repelling
+fixed slope until they land in the window:
+
+* every slope above the attracting fixed slope: minimum in [1, inf];
+* every slope below it: maximum in [0, 1/2];
+* slopes on both sides: minimum 0.  The triangles straddling the fixed
+  slope form one chain crossed by its axis, and the window leaves only
+  {0, 1, inf} and the gateway triangle {0, 1/2, 1}.
+
+A triangle is terminal exactly when its representative is {1, 2, inf}
+or {0, 1, inf}, and the moves are the transitions forced on the
+representative, mapped back by the inverse power.  Above the fixed slope
+the triangle flips toward {1, 2, inf} (or temporarily collapses to a
+one-class configuration and re-expands); below it, flips lead to
+{0, 1/2, 1}, which steps into the {0, 1, inf} orbit.  Configurations
+with more than three arcs always admit a bypass that produces a
+boundary-parallel dividing curve, i.e. a destabilization of the boundary
+knot; those are reported as destabilizing moves rather than state
+transitions.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -173,6 +184,19 @@ def type_iii(slopes, mults) -> DividingConfig:
     return _sorted_config(ConfigKind.III, tuple(slopes), tuple(mults))
 
 
+def _count(text: str, what: str) -> int:
+    """A multiplicity or closed-curve count written as a decimal integer."""
+    if re.fullmatch(r"-?[0-9]+", text.strip()) is None:
+        raise TaxonomyError("%s must be a decimal integer, got %r" % (what, text))
+    return int(text)
+
+
+def _class_spec(part: str) -> tuple[Slope, int]:
+    """One arc class 'slope' or 'slopexM'; the multiplicity defaults to 1."""
+    slope_text, x, mult_text = part.partition("x")
+    return parse_slope(slope_text), _count(mult_text, "multiplicity") if x else 1
+
+
 def make_config(spec: str) -> DividingConfig:
     """Parse 'III:1,2,inf', 'III:1x1,2x1,infx1', 'II:1x2,infx2', 'I:infx5+1c'."""
     try:
@@ -185,14 +209,9 @@ def make_config(spec: str) -> DividingConfig:
             body, closed_text = body.split("+", 1)
             if not closed_text.endswith("c"):
                 raise TaxonomyError("closed count must look like '+2c'")
-            closed = int(closed_text[:-1])
-        slope_text, _, mult_text = body.partition("x")
-        return type_i(parse_slope(slope_text), int(mult_text) if mult_text else 1, closed)
-    slopes, mults = [], []
-    for part in body.split(","):
-        slope_text, _, mult_text = part.partition("x")
-        slopes.append(parse_slope(slope_text))
-        mults.append(int(mult_text) if mult_text else 1)
+            closed = _count(closed_text[:-1], "closed-curve count")
+        return type_i(*_class_spec(body), closed)
+    slopes, mults = zip(*(_class_spec(part) for part in body.split(",")))
     if kind_text == "II":
         return type_ii(slopes, mults)
     if kind_text == "III":
@@ -217,7 +236,6 @@ def monodromy_config(c: DividingConfig, k: int) -> DividingConfig:
 class MoveTag(Enum):
     FIRST_KIND = "FirstKind"
     SECOND_KIND = "SecondKind"
-    CASE_THREE_A = "CaseThreeA"
     CASE_THREE_B = "CaseThreeB"
     COLLAPSE_TO_I = "CollapseToI"
     EXPAND_FROM_I = "ExpandFromI"
@@ -250,28 +268,29 @@ class DestabilizationFound:
     arcs_after: int
 
 
-def _side(s: Slope) -> FixedPointSide:
-    return cmp_fixed(s)
+def _canonical(slopes) -> tuple[int, tuple[Slope, ...]]:
+    """The power k of the monodromy taking slopes into the canonical
+    window, and the sorted representative M^k(slopes).
 
-
-def _all_nonnegative(slopes) -> bool:
-    return all(s.is_inf or s.num >= 0 for s in slopes)
-
-
-def _prewindow(slopes: tuple[Slope, ...]) -> tuple[tuple[Slope, ...], int]:
-    """Monodromy-shift until every slope lies in [0, inf]."""
-    shift = 0
-    current = slopes
-    while not _all_nonnegative(current):
-        current = tuple(monodromy_apply(s, 1) for s in current)
+    M draws every rational slope toward its irrational attracting fixed
+    slope, so the first loop ends; near the repelling fixed slope each
+    step multiplies the distance to it by about 2.618, so both loops take
+    O(log denominator) steps.
+    """
+    shift, current = 0, tuple(sorted(slopes))
+    while current[0].num < 0:  # inf is 1/0, so this reads "not in [0, inf]"
+        current = tuple(sorted(monodromy_apply(s, 1) for s in current))
         shift += 1
-        if shift > 200:
-            raise NonTermination("slope window normalization did not converge")
-    return current, shift
-
-
-def _sorted_triple(slopes) -> tuple[Slope, Slope, Slope]:
-    return tuple(sorted(slopes, key=lambda s: (s.is_inf, s)))
+    if cmp_fixed(current[0]) is FixedPointSide.ABOVE:
+        outside = lambda t: t[0] < ONE
+    elif cmp_fixed(current[-1]) is FixedPointSide.BELOW:
+        outside = lambda t: t[-1] > _HALF
+    else:
+        outside = lambda t: t[0] > ZERO
+    while outside(current):
+        current = tuple(sorted(monodromy_apply(s, -1) for s in current))
+        shift -= 1
+    return shift, current
 
 
 def _sum_vertex(triple) -> int:
@@ -283,80 +302,19 @@ def _sum_vertex(triple) -> int:
     raise NotATriangle("no vertex is the mediant of the other two")
 
 
-def _same_orbit(triple, target) -> bool:
-    """Whether two triangles agree up to a power of the monodromy."""
-    a = frozenset(_sorted_triple(triple))
-    if a == frozenset(target):
-        return True
-
-    def complexity(tri):
-        return sum(abs(s.num) + s.den for s in tri)
-
-    for step in (1, -1):
-        current = target
-        budget = complexity(triple) + 8
-        while complexity(current) <= budget:
-            current = tuple(monodromy_apply(s, step) for s in current)
-            if frozenset(current) == a:
-                return True
-    return False
-
-
-def _case1_window(triple) -> tuple[tuple[Slope, ...], int]:
-    """Shift an all-above triangle until its minimum slope is >= 1."""
-    shift = 0
-    current = _sorted_triple(triple)
-    while current[0] < ONE:
-        if not all(s <= ONE for s in current):
-            raise NonTermination("above-side window violated: %s" % (current,))
-        current = _sorted_triple(monodromy_apply(s, -1) for s in current)
-        shift -= 1
-    return current, shift
-
-
-def _case2_window(triple) -> tuple[tuple[Slope, ...], int]:
-    """Shift an all-below triangle until its maximum slope is <= 1/2."""
-    shift = 0
-    current = _sorted_triple(triple)
-    while current[2] > _HALF:
-        if not all(s >= _HALF for s in current):
-            raise NonTermination("below-side window violated: %s" % (current,))
-        current = _sorted_triple(monodromy_apply(s, -1) for s in current)
-        shift -= 1
-    return current, shift
-
-
-def _window_slope(s: Slope, above: bool) -> tuple[Slope, int]:
-    """Shift a single nonnegative slope into [1, inf] or [0, 1/2]."""
-    shift = 0
-    current = s
-    if above:
-        while not current.is_inf and current < ONE:
-            current = monodromy_apply(current, -1)
-            shift -= 1
-    else:
-        while current > _HALF:
-            current = monodromy_apply(current, -1)
-            shift -= 1
-    return current, shift
-
-
-def _flip(triple):
+def _flip(tri):
     """Replace the mediant vertex by the difference of the other two.
 
-    Returns (new sorted triple, removed slope, added slope, tag): the tag
-    is FIRST_KIND when the new mediant vertex is the old minimum slope,
-    SECOND_KIND when it is the old maximum.
+    Returns the new triple and the tag: FIRST_KIND when the new mediant
+    vertex is the old minimum slope, SECOND_KIND when it is the old
+    maximum.
     """
-    tri = _sorted_triple(triple)
     i = _sum_vertex(tri)
     j, k = [x for x in range(3) if x != i]
-    removed = tri[i]
-    added = slope_of_vector(tri[j].vector() - tri[k].vector())
-    new = _sorted_triple((tri[j], tri[k], added))
+    new = (tri[j], tri[k], slope_of_vector(tri[j].vector() - tri[k].vector()))
     new_sum = new[_sum_vertex(new)]
     tag = MoveTag.FIRST_KIND if new_sum == min(tri[j], tri[k]) else MoveTag.SECOND_KIND
-    return new, removed, added, tag
+    return new, tag
 
 
 def _expand(slope: Slope):
@@ -366,88 +324,37 @@ def _expand(slope: Slope):
     if slope == ONE or slope.is_inf:
         return _TIGHT_TRIANGLE
     left, right = farey_parents(slope)
-    anchor = right if _side(slope) is FixedPointSide.BELOW else left
+    anchor = right if cmp_fixed(slope) is FixedPointSide.BELOW else left
     other = slope_of_vector(slope.vector() - anchor.vector())
-    return _sorted_triple((anchor, slope, other))
+    return anchor, slope, other
 
 
-@dataclass(frozen=True)
-class _Analysis:
-    """Windowed view of a three-arc configuration."""
-
-    shift: int  # power of the monodromy taking the input to the window
-    windowed: DividingConfig
-    terminal: str | None  # "tight" | "overtwisted" | None
-    moves: tuple[tuple[Move, DividingConfig], ...]  # move (input frame) -> result
-
-
-def _unshift_config(c: DividingConfig, shift: int) -> DividingConfig:
-    return monodromy_config(c, -shift) if shift else c
-
-
-def _analyze3(c: DividingConfig) -> _Analysis:
-    """Terminal status and legal transitions of a three-arc configuration."""
+def _analyze3(c: DividingConfig):
+    """Terminal outcome (or None) and legal transitions of a three-arc
+    configuration, as (outcome, ((move, result), ...)) in c's frame."""
+    shift, rep = _canonical(c.slopes)
+    low, high = rep[0], rep[-1]
     if c.kind is ConfigKind.I:
-        slopes, pre = _prewindow(c.slopes)
-        slope = slopes[0]
-        above = _side(slope) is FixedPointSide.ABOVE
-        slope, extra = _window_slope(slope, above)
-        shift = pre + extra
-        windowed = type_i(slope, c.mults[0], c.closed)
-        triple = _expand(slope)
-        result = _unshift_config(type_iii(triple, (1, 1, 1)), shift)
-        move = Move(MoveTag.EXPAND_FROM_I, monodromy_apply(slope, -shift))
-        return _Analysis(shift, windowed, None, ((move, result),))
-
-    triple, pre = _prewindow(c.slopes)
-    if _same_orbit(triple, _TIGHT_TRIANGLE):
-        return _Analysis(pre, type_iii(triple, (1, 1, 1)), "tight", ())
-    if _same_orbit(triple, _OVERTWISTED_TRIANGLE):
-        return _Analysis(pre, type_iii(triple, (1, 1, 1)), "overtwisted", ())
-
-    sides = [_side(s) for s in triple]
-    moves = []
-    if all(s is FixedPointSide.ABOVE for s in sides):
-        tri, extra = _case1_window(triple)
-        shift = pre + extra
-        a = tri[0]
-        annulus = monodromy_apply(a, -shift)
-        flipped, _, _, tag = _flip(tri)
-        moves.append((Move(tag, annulus),
-                      _unshift_config(type_iii(flipped, (1, 1, 1)), shift)))
-        moves.append((Move(MoveTag.COLLAPSE_TO_I, annulus),
-                      _unshift_config(type_i(a, 3, 1), shift)))
-        windowed = type_iii(tri, (1, 1, 1))
-    elif all(s is FixedPointSide.BELOW for s in sides):
-        tri, extra = _case2_window(triple)
-        shift = pre + extra
-        b = tri[2]
-        annulus = monodromy_apply(b, -shift)
-        flipped, _, _, tag = _flip(tri)
-        moves.append((Move(tag, annulus),
-                      _unshift_config(type_iii(flipped, (1, 1, 1)), shift)))
-        windowed = type_iii(tri, (1, 1, 1))
-    else:
-        shift = pre
-        tri = _sorted_triple(triple)
-        low, mid, high = tri
-        if _side(mid) is FixedPointSide.BELOW:
-            # gateway pattern: replace the minimum by mediant(mid, high)
-            annulus = monodromy_apply(high, -shift)
-            new = _sorted_triple((mid, mediant(mid, high), high))
-            moves.append((Move(MoveTag.CASE_THREE_B, annulus),
-                          _unshift_config(type_iii(new, (1, 1, 1)), shift)))
-        else:
-            # two slopes above the fixed point: for this monodromy such a
-            # triangle always lies in a terminal orbit (handled above), so
-            # this branch is unreachable from valid states; the transition
-            # is kept for completeness.
-            annulus = monodromy_apply(mid, -shift)
-            new = _sorted_triple((low, mediant(low, mid), mid))
-            moves.append((Move(MoveTag.CASE_THREE_A, annulus),
-                          _unshift_config(type_iii(new, (1, 1, 1)), shift)))
-        windowed = type_iii(tri, (1, 1, 1))
-    return _Analysis(shift, windowed, None, tuple(moves))
+        moves = [(MoveTag.EXPAND_FROM_I, low, type_iii(_expand(low), (1, 1, 1)))]
+    elif rep == _TIGHT_TRIANGLE:
+        return OutcomeKind.STANDARD_TIGHT, ()
+    elif rep == _OVERTWISTED_TRIANGLE:
+        return OutcomeKind.OVERTWISTED, ()
+    elif low >= ONE:  # above the fixed slope
+        flipped, tag = _flip(rep)
+        moves = [(tag, low, type_iii(flipped, (1, 1, 1))),
+                 (MoveTag.COLLAPSE_TO_I, low, type_i(low, 3, 1))]
+    elif high <= _HALF:  # below the fixed slope
+        flipped, tag = _flip(rep)
+        moves = [(tag, high, type_iii(flipped, (1, 1, 1)))]
+    else:  # straddling, so rep is the gateway {0, 1/2, 1}: replace the minimum
+        mid = rep[1]
+        moves = [(MoveTag.CASE_THREE_B, high,
+                  type_iii((mid, mediant(mid, high), high), (1, 1, 1)))]
+    return None, tuple(
+        (Move(tag, monodromy_apply(annulus, -shift)), monodromy_config(result, -shift))
+        for tag, annulus, result in moves
+    )
 
 
 def legal_moves(c: DividingConfig) -> list[Move]:
@@ -461,7 +368,7 @@ def legal_moves(c: DividingConfig) -> list[Move]:
         return []
     if c.kind is ConfigKind.I and c.closed != 1:
         return []
-    return [move for move, _ in _analyze3(c).moves]
+    return [move for move, _ in _analyze3(c)[1]]
 
 
 def destabilizing_moves(c: DividingConfig) -> list[DestabilizingMove]:
@@ -488,7 +395,7 @@ def apply_move(c: DividingConfig, move) -> DividingConfig | DestabilizationFound
         return DestabilizationFound(move, c.arcs(), c.arcs() - 2)
     if c.arcs() != 3:
         raise IllegalMove("no transitions on configurations with %d arcs" % c.arcs())
-    for candidate, result in _analyze3(c).moves:
+    for candidate, result in _analyze3(c)[1]:
         if candidate == move:
             return result
     raise IllegalMove("%r is not legal on %s" % (move, c))
@@ -498,7 +405,6 @@ class OutcomeKind(Enum):
     STANDARD_TIGHT = "standard-tight"
     OVERTWISTED = "overtwisted"
     DESTABILIZES = "destabilizes"
-    NONE_FOUND = "none-found-within-limit"
 
 
 @dataclass(frozen=True)
@@ -519,6 +425,12 @@ def _move_line(move: Move, before: DividingConfig, after: DividingConfig) -> str
     return "%s %s->%s" % (move.tag.value, before_s, after_s)
 
 
+def _destabilization(c: DividingConfig) -> NormalizationOutcome:
+    move = destabilizing_moves(c)[0]
+    line = "Destabilizing annulus=%s (%s)" % (move.annulus_slope, move.note)
+    return NormalizationOutcome(OutcomeKind.DESTABILIZES, (line,), 1)
+
+
 def normalize(c: DividingConfig, step_limit: int | None = None) -> NormalizationOutcome:
     """Drive a configuration to its terminal form.
 
@@ -532,9 +444,7 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
     if step_limit is None:
         step_limit = _default_limit(c)
     if c.arcs() > 3:
-        move = destabilizing_moves(c)[0]
-        line = "Destabilizing annulus=%s (%s)" % (move.annulus_slope, move.note)
-        return NormalizationOutcome(OutcomeKind.DESTABILIZES, (line,), 1)
+        return _destabilization(c)
     if c.arcs() != 3:
         raise Unsupported("verdicts are defined for three-arc configurations")
 
@@ -546,33 +456,17 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
         current = type_i(current.slopes[0], current.mults[0], 1)
 
     for _ in range(step_limit):
-        if current.kind is ConfigKind.III:
-            analysis = _analyze3(current)
-            if analysis.terminal == "tight":
-                return NormalizationOutcome(
-                    OutcomeKind.STANDARD_TIGHT, tuple(trace), len(trace)
-                )
-            if analysis.terminal == "overtwisted":
-                return NormalizationOutcome(
-                    OutcomeKind.OVERTWISTED, tuple(trace), len(trace)
-                )
-        else:
-            analysis = _analyze3(current)
-        move, result = analysis.moves[0]
+        terminal, moves = _analyze3(current)
+        if terminal is not None:
+            return NormalizationOutcome(terminal, tuple(trace), len(trace))
+        move, result = moves[0]
         trace.append(_move_line(move, current, result))
         current = result
     raise NonTermination("no terminal form within %d steps" % step_limit)
 
 
-def find_destabilization(c: DividingConfig, step_limit: int | None = None) -> NormalizationOutcome:
+def find_destabilization(c: DividingConfig) -> NormalizationOutcome:
     """Locate a destabilizing bypass for a configuration with > 3 arcs."""
     if c.arcs() <= 3:
         raise Unsupported("destabilization search needs more than three arcs")
-    if step_limit is not None and step_limit < 1:
-        raise Unsupported("step limit must be positive")
-    moves = destabilizing_moves(c)
-    if not moves:
-        return NormalizationOutcome(OutcomeKind.NONE_FOUND, (), 0)
-    move = moves[0]
-    line = "Destabilizing annulus=%s (%s)" % (move.annulus_slope, move.note)
-    return NormalizationOutcome(OutcomeKind.DESTABILIZES, (line,), 1)
+    return _destabilization(c)

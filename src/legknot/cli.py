@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "transversal-iterated",
         help="maximal self-linking of an iterated torus knot "
-        "(Birman's recursion a_i = (q_i - 1) p_i - a_{i-1} q_i^2)",
+        "(braid writhe a_i = q_i a_{i-1} + (q_i - 1) p_i, sl = a_n - q_1...q_n)",
     )
     p.add_argument("cables", help="cabling list 'p1,q1;p2,q2;...'")
 

@@ -6,8 +6,8 @@ s = tb + r is unchanged by positive stabilization, and for the knot types
 in scope stable simplicity and transversal simplicity coincide, so the
 realizable self-linking numbers are exactly the odd integers at or below
 the maximum of tb + r over the Legendrian peaks.  Iterated-cable maxima
-follow Birman's recursion a_i = (q_i - 1) p_i - a_{i-1} q_i^2,
-b_n = q_1 ... q_n, l_n = a_n - b_n.
+are the braid writhe of the cable minus its strand count:
+a_i = q_i a_{i-1} + (q_i - 1) p_i with a_0 = 0, and sl = a_n - q_1 ... q_n.
 """
 
 from __future__ import annotations
@@ -88,8 +88,14 @@ def parse_cables(text: str) -> list[tuple[int, int]]:
 def iterated_max_sl(cables: list[tuple[int, int]]) -> int:
     """Maximal self-linking of an iterated cable of the unknot.
 
-    The cabling convention is 0 < q_i < |p_i| with gcd(|p_i|, q_i) = 1.
-    A single cable reduces to the torus-knot value pq - p - q.
+    The cabling convention is 0 < q_i < |p_i| with gcd(|p_i|, q_i) = 1:
+    level i has q_i strands around the previous level and Seifert-framed
+    slope p_i / q_i.  Cabling the braid closure of the previous level
+    gives the writhe a_i = q_i a_{i-1} + (q_i - 1) p_i, and the maximum is
+    a_n - q_1 ... q_n.  For positive cables this is 2g - 1, with Schubert's
+    genus g_i = q_i g_{i-1} + (p_i - 1)(q_i - 1) / 2.  A single cable
+    reduces to the torus-knot value pq - p - q for either sign; negative
+    cables inside a longer list are refused.
     """
     if not cables:
         raise InvalidCable("cabling list is empty")
@@ -98,9 +104,11 @@ def iterated_max_sl(cables: list[tuple[int, int]]) -> int:
             raise InvalidCable("cable (%d, %d) violates 0 < q < |p|" % (p, q))
         if gcd(abs(p), q) != 1:
             raise InvalidCable("cable (%d, %d) is not coprime" % (p, q))
+        if p < 0 and len(cables) > 1:
+            raise InvalidCable("negative cable (%d, %d) is supported only on its own" % (p, q))
     a = 0
     b = 1
-    for i, (p, q) in enumerate(cables):
-        a = (q - 1) * p if i == 0 else (q - 1) * p - a * q * q
+    for p, q in cables:
+        a = q * a + (q - 1) * p
         b *= q
     return a - b

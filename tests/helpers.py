@@ -14,7 +14,16 @@ from math import gcd
 
 from legknot.classify import Sign
 from legknot.front import FrontDiagram, FrontEvent, invariants, parse_front, stabilize_diagram
-from legknot.lattice import INF, ONE, ZERO, Slope, mediant, reduce_slope, triangle_completions
+from legknot.lattice import (
+    INF,
+    ONE,
+    ZERO,
+    Slope,
+    mediant,
+    monodromy_apply,
+    reduce_slope,
+    triangle_completions,
+)
 
 
 def three_colorings(d: FrontDiagram) -> int:
@@ -142,6 +151,30 @@ def farey_triangles_to_depth(max_depth: int):
                 nxt.append((tri[j], tri[k], mediant(tri[j], tri[k])))
         frontier = nxt
     return out
+
+
+TIGHT_TRIANGLE = (ONE, Slope(2, 1), INF)
+OVERTWISTED_TRIANGLE = (ZERO, ONE, INF)
+
+
+def same_orbit(slopes, target) -> bool:
+    """Whether some power M^k of the monodromy maps target onto slopes.
+
+    A plain step-by-step search with monodromy_apply, independent of the
+    canonical window in legknot.bypass.  Both terminal triangles contain
+    inf, and M^k(inf) has a coordinate F_2|k| >= 2^(|k| - 1), so for those
+    targets |k| is at most the bit length of the largest coordinate of
+    slopes, plus one.
+    """
+    goal = frozenset(slopes)
+    bound = max(max(abs(s.num), s.den) for s in slopes).bit_length() + 1
+    for step in (1, -1):
+        current = tuple(target)
+        for _ in range(bound + 1):
+            if frozenset(current) == goal:
+                return True
+            current = tuple(monodromy_apply(s, step) for s in current)
+    return False
 
 
 _SEED_WORDS = (

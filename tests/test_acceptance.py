@@ -9,12 +9,15 @@ from fractions import Fraction
 from math import gcd
 
 from helpers import (
+    OVERTWISTED_TRIANGLE,
     RIGHT_TREFOIL_PEAK_WORD,
     STABILIZED_UNKNOT_WORD,
+    TIGHT_TRIANGLE,
     TREFOIL_WORD,
     farey_triangles_to_depth,
     random_hints,
     random_valid_diagrams,
+    same_orbit,
     three_colorings,
     tight_count_by_paths,
 )
@@ -30,7 +33,6 @@ from legknot.bypass import (
     type_ii,
     type_iii,
 )
-from legknot.bypass import _OVERTWISTED_TRIANGLE, _TIGHT_TRIANGLE, _same_orbit
 from legknot.classify import (
     Peak,
     Sign,
@@ -210,9 +212,9 @@ def test_criterion_11_bypass_engine():
     assert normalize(make_config("III:0,1,inf")).kind is OutcomeKind.OVERTWISTED
 
     def terminal_orbit(config):
-        if _same_orbit(config.slopes, _TIGHT_TRIANGLE):
+        if same_orbit(config.slopes, TIGHT_TRIANGLE):
             return "tight"
-        if _same_orbit(config.slopes, _OVERTWISTED_TRIANGLE):
+        if same_orbit(config.slopes, OVERTWISTED_TRIANGLE):
             return "overtwisted"
         return None
 

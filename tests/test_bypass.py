@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import farey_triangles_to_depth
+from helpers import OVERTWISTED_TRIANGLE, farey_triangles_to_depth, same_orbit
 from legknot.bypass import (
     ConfigKind,
     DestabilizationFound,
@@ -30,7 +30,7 @@ from legknot.errors import (
     TaxonomyError,
     Unsupported,
 )
-from legknot.lattice import monodromy_apply, parse_slope
+from legknot.lattice import cmp_fixed, monodromy_apply, parse_slope
 
 
 def S(text):
@@ -68,6 +68,10 @@ class TestConstruction:
             type_ii((S("1/3"), S("2/3")), (2, 2))
         with pytest.raises(TaxonomyError):
             make_config("IV:1,2")
+        with pytest.raises(TaxonomyError):
+            make_config("I:infx5+xc")  # closed count is not an integer
+        with pytest.raises(TaxonomyError):
+            make_config("III:1x,2,inf")  # empty multiplicity after 'x'
 
     def test_spec_strings(self):
         assert make_config("I:infx5+1c").arcs() == 5
@@ -129,6 +133,22 @@ class TestMoves:
         result = apply_move(c, moves[0])
         assert {str(s) for s in result.slopes} == {"1/2", "2/3", "1"}
 
+    def test_straddling_triangles_take_the_gateway_move(self):
+        # triangles in [0, inf] with slopes on both sides of the fixed slope
+        straddling = [
+            tri for tri in farey_triangles_to_depth(10)
+            if all(s.num >= 0 for s in tri) and len({cmp_fixed(s) for s in tri}) == 2
+        ]
+        assert len(straddling) >= 10
+        for tri in straddling:
+            c = type_iii(tri, (1, 1, 1))
+            if same_orbit(tri, OVERTWISTED_TRIANGLE):
+                assert legal_moves(c) == []
+                continue
+            moves = legal_moves(c)
+            assert [m.tag for m in moves] == [MoveTag.CASE_THREE_B]
+            assert same_orbit(apply_move(c, moves[0]).slopes, OVERTWISTED_TRIANGLE)
+
     def test_illegal_move_rejected(self):
         c = make_config(TIGHT)
         with pytest.raises(IllegalMove):
@@ -180,6 +200,8 @@ class TestNormalize:
     def test_shifted_starts(self):
         assert normalize(monodromy_config(make_config(TIGHT), 3)).kind is OutcomeKind.STANDARD_TIGHT
         assert normalize(monodromy_config(make_config(OVERTWISTED), -2)).kind is OutcomeKind.OVERTWISTED
+        # 201 monodromy steps are needed to bring this start back into [0, inf]
+        assert normalize(monodromy_config(make_config(TIGHT), -201)).kind is OutcomeKind.STANDARD_TIGHT
 
     def test_above_staircase_trace(self):
         out = normalize(make_config("III:5/3,7/4,2"))

@@ -141,6 +141,8 @@ class TestBypassCommand:
 
     def test_bad_config_exit_one(self, capsys):
         assert main(["bypass-normalize", "III:1/3,2/3,inf"]) == 1
+        assert main(["bypass-normalize", "I:infx5+xc"]) == 1
+        assert main(["bypass-normalize", "III:1x,2,inf"]) == 1
         capsys.readouterr()
 
 
@@ -151,7 +153,7 @@ class TestTransversalCommands:
 
     def test_iterated(self, capsys):
         code, out = run(capsys, "transversal-iterated", "3,2;5,2")
-        assert code == 0 and out == "-11\n"
+        assert code == 0 and out == "7\n"
 
     def test_bounds(self, capsys):
         code, out = run(capsys, "bounds", "torus:-5,3")

@@ -24,6 +24,14 @@ from legknot.transversal import (
     stable_invariant,
 )
 
+def schubert_sl(cables):
+    """2g - 1 from Schubert's cable genus g_i = q_i g_{i-1} + (p_i - 1)(q_i - 1)/2."""
+    g = 0
+    for p, q in cables:
+        g = q * g + (p - 1) * (q - 1) // 2
+    return 2 * g - 1
+
+
 IN_SCOPE = [unknot(), figure_eight(), torus(3, 2), torus(5, 2), torus(-3, 2), torus(-7, 3)]
 
 
@@ -112,7 +120,12 @@ class TestIteratedCables:
         assert iterated_max_sl([(-3, 2)]) == max_sl(torus(-3, 2))
 
     def test_two_level_cable(self):
-        assert iterated_max_sl([(3, 2), (5, 2)]) == -11
+        assert iterated_max_sl([(3, 2), (5, 2)]) == 7
+
+    def test_multi_level_cables_match_schubert_genus(self):
+        assert iterated_max_sl([(3, 2), (7, 3)]) == 17 == schubert_sl([(3, 2), (7, 3)])
+        cables = [(5, 2), (11, 2), (23, 3)]
+        assert iterated_max_sl(cables) == 97 == schubert_sl(cables)
 
     def test_matches_torus_for_all_single_cables(self):
         for p in range(3, 11):
@@ -132,3 +145,7 @@ class TestIteratedCables:
             iterated_max_sl([(4, 2)])  # not coprime
         with pytest.raises(InvalidCable):
             parse_cables("3;2")
+        with pytest.raises(InvalidCable):
+            iterated_max_sl([(3, 2), (-5, 2)])  # negative cables only on their own
+        with pytest.raises(InvalidCable):
+            iterated_max_sl([(-3, 2), (5, 2)])
