@@ -432,19 +432,23 @@ def _destabilization(c: DividingConfig) -> NormalizationOutcome:
 
 
 def normalize(c: DividingConfig, step_limit: int | None = None) -> NormalizationOutcome:
-    """Drive a configuration to its terminal form.
+    """Drive a configuration to its terminal form in at most ``step_limit`` moves.
 
     Three-arc configurations end in the standard tight orbit {1, 2, inf}
     or the overtwisted orbit {0, 1, inf}; anything with more arcs
-    destabilizes.  The move order is deterministic (triangle transitions
-    are preferred over collapses), and exceeding the step limit raises
-    NonTermination, which indicates a bug rather than a mathematical
-    outcome.
+    destabilizes in one move.  The move order is deterministic (triangle
+    transitions are preferred over collapses), and needing more moves
+    than the limit raises NonTermination, which indicates a bug rather
+    than a mathematical outcome.  A negative limit is Unsupported.
     """
     if step_limit is None:
         step_limit = _default_limit(c)
+    if step_limit < 0:
+        raise Unsupported("step limit must be non-negative, got %d" % step_limit)
     if c.arcs() > 3:
-        return _destabilization(c)
+        if step_limit >= 1:
+            return _destabilization(c)
+        raise NonTermination("no terminal form within 0 steps")
     if c.arcs() != 3:
         raise Unsupported("verdicts are defined for three-arc configurations")
 
@@ -455,7 +459,7 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
         trace.append("ReduceClosed %dc->1c" % current.closed)
         current = type_i(current.slopes[0], current.mults[0], 1)
 
-    for _ in range(step_limit):
+    while len(trace) <= step_limit:
         terminal, moves = _analyze3(current)
         if terminal is not None:
             return NormalizationOutcome(terminal, tuple(trace), len(trace))

@@ -155,12 +155,10 @@ def peak_rotations(k: KnotType) -> set[int]:
         return {0}
     a, q = -k.p, k.q
     out = set()
-    k_idx = 0
-    while k_idx * q < a - q:  # k < (|p| - q)/q
+    for k_idx in range(a // q):
         r = a - q - 2 * q * k_idx
         out.add(r)
         out.add(-r)
-        k_idx += 1
     return out
 
 

@@ -3,12 +3,15 @@
 Subcommands expose one computation each with line-oriented, byte-stable
 output.  Exit codes: 0 success, 1 invalid input, 2 valid query whose
 mathematical answer is negative (predicates only), 3 internal step limit
-exceeded.
+exceeded.  Each subparser names its handler; a handler returns its exit
+code and output text, and ``main`` writes the text only after the handler
+returned, so exits 1 and 3 leave stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import bypass, classify, convex, front, lattice, transversal
@@ -70,6 +73,74 @@ def _render_svg(r: classify.MountainRange, pairs) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_front(path: str) -> front.FrontDiagram:
+    if path == "-":
+        return front.parse_front(sys.stdin.buffer.read())
+    with open(path, "rb") as handle:
+        return front.parse_front(handle.read())
+
+
+def _invariants(args):
+    inv = front.invariants(_read_front(args.front))
+    text = "tb=%d\nrot=%d\nwrithe=%d\nright_cusps=%d\n" % (
+        inv.tb, inv.rot, inv.writhe, inv.right_cusps
+    )
+    if args.knot is None:
+        return 0, text
+    if front.bennequin_compatible(inv, classify.parse_knot(args.knot)):
+        return 0, text + "bennequin=ok\n"
+    return 2, text + "bennequin=violated\n"
+
+
+def _classify(args):
+    knot = classify.parse_knot(args.knot)
+    text = "knot=%s\nmax_tb=%d\npeak_rotations=%s\n" % (
+        knot,
+        classify.max_tb(knot),
+        ",".join(str(r) for r in sorted(classify.peak_rotations(knot))),
+    )
+    if args.tb is None:
+        return 0, text
+    if args.rot is None:
+        raise LegknotError("classify needs both tb and rot (or neither)")
+    ok = classify.realizable(knot, args.tb, args.rot)
+    return (0 if ok else 2), text + "realizable=%s\n" % ("true" if ok else "false")
+
+
+def _isotopic(args):
+    a = classify.LegendrianClass(classify.parse_knot(args.knot1), args.tb1, args.rot1)
+    b = classify.LegendrianClass(classify.parse_knot(args.knot2), args.tb2, args.rot2)
+    verdict = classify.decide_isotopy(a, b)
+    return (0 if verdict is classify.Verdict.ISOTOPIC else 2), verdict.value + "\n"
+
+
+def _valleys(args):
+    knot = classify.parse_knot(args.knot)
+    peak_list = classify.peaks(knot)
+    meets = [
+        classify.common_destabilization(knot, peak_list[i], peak_list[i + 1])
+        for i in range(len(peak_list) - 1)
+    ]
+    return 0, "".join("%d\t%d\n" % p for p in sorted(meets, key=lambda p: (-p[0], p[1])))
+
+
+def _bypass_normalize(args):
+    outcome = bypass.normalize(bypass.make_config(args.config), args.step_limit)
+    lines = ["outcome=%s" % outcome.kind.value, "steps=%d" % outcome.steps, *outcome.trace]
+    return 0, "".join(line + "\n" for line in lines)
+
+
+def _bounds(args):
+    report = classify.bounds_report(classify.parse_knot(args.knot))
+    text = "bennequin=%d\n" % report.bennequin
+    if report.fuchs_tabachnikov is not None:
+        text += "fuchs_tabachnikov=%d\n" % report.fuchs_tabachnikov
+    return 0, text + "max_tb=%d\nstrict=%s\n" % (
+        report.max_tb, "true" if report.strict else "false"
+    )
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="legknot",
@@ -89,6 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="declared knot type; rejects the diagram if the Bennequin "
         "inequality tb + |r| <= -chi fails for that type",
     )
+    p.set_defaults(run=_invariants)
 
     p = sub.add_parser(
         "classify",
@@ -98,6 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("knot")
     p.add_argument("tb", nargs="?", type=int)
     p.add_argument("rot", nargs="?", type=int)
+    p.set_defaults(run=_classify)
 
     p = sub.add_parser(
         "isotopic",
@@ -106,6 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for name in ("knot1", "tb1", "rot1", "knot2", "tb2", "rot2"):
         p.add_argument(name, type=int if name[0] in "tr" else str)
+    p.set_defaults(run=_isotopic)
 
     p = sub.add_parser(
         "range",
@@ -115,6 +189,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knot", required=True)
     p.add_argument("--depth", required=True, type=int)
     p.add_argument("--format", choices=("tsv", "svg"), default="tsv")
+    p.set_defaults(run=lambda a: (0, render_range(
+        classify.mountain_range(classify.parse_knot(a.knot), a.depth), a.format
+    )))
 
     p = sub.add_parser(
         "valleys",
@@ -122,6 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "torus knot (valley lemma via |p| = mq + e)",
     )
     p.add_argument("--knot", required=True)
+    p.set_defaults(run=_valleys)
 
     p = sub.add_parser(
         "farey-cf",
@@ -129,6 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
+    p.set_defaults(run=lambda a: (0, " ".join(str(r) for r in lattice.neg_cf(a.p, a.q)) + "\n"))
 
     p = sub.add_parser(
         "farey-count",
@@ -138,6 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
+    p.set_defaults(run=lambda a: (0, "%d\n" % convex.tight_count(a.p, a.q)))
 
     p = sub.add_parser(
         "bypass-normalize",
@@ -147,6 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("config")
     p.add_argument("--step-limit", type=int, default=None)
+    p.set_defaults(run=_bypass_normalize)
 
     p = sub.add_parser(
         "transversal-max-sl",
@@ -154,6 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(equals max of tb + r over Legendrian peaks)",
     )
     p.add_argument("knot")
+    p.set_defaults(run=lambda a: (0, "%d\n" % transversal.max_sl(classify.parse_knot(a.knot))))
 
     p = sub.add_parser(
         "transversal-iterated",
@@ -161,6 +243,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "(braid writhe a_i = q_i a_{i-1} + (q_i - 1) p_i, sl = a_n - q_1...q_n)",
     )
     p.add_argument("cables", help="cabling list 'p1,q1;p2,q2;...'")
+    p.set_defaults(run=lambda a: (
+        0, "%d\n" % transversal.iterated_max_sl(transversal.parse_cables(a.cables))
+    ))
 
     p = sub.add_parser(
         "bounds",
@@ -168,121 +253,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "Kauffman-polynomial (Fuchs-Tabachnikov) upper bounds",
     )
     p.add_argument("knot")
+    p.set_defaults(run=_bounds)
 
     return parser
 
 
-def _read_front(path: str) -> front.FrontDiagram:
-    if path == "-":
-        return front.parse_front(sys.stdin.read())
-    with open(path, "rb") as handle:
-        return front.parse_front(handle.read())
-
-
-def _run(args) -> int:
-    out = sys.stdout
-
-    if args.command == "invariants":
-        inv = front.invariants(_read_front(args.front))
-        out.write(
-            "tb=%d\nrot=%d\nwrithe=%d\nright_cusps=%d\n"
-            % (inv.tb, inv.rot, inv.writhe, inv.right_cusps)
-        )
-        if args.knot is not None:
-            knot = classify.parse_knot(args.knot)
-            if not front.bennequin_compatible(inv, knot):
-                out.write("bennequin=violated\n")
-                return 2
-            out.write("bennequin=ok\n")
-        return 0
-
-    if args.command == "classify":
-        knot = classify.parse_knot(args.knot)
-        out.write("knot=%s\n" % knot)
-        out.write("max_tb=%d\n" % classify.max_tb(knot))
-        rots = ",".join(str(r) for r in sorted(classify.peak_rotations(knot)))
-        out.write("peak_rotations=%s\n" % rots)
-        if args.tb is None:
-            return 0
-        if args.rot is None:
-            raise LegknotError("classify needs both tb and rot (or neither)")
-        ok = classify.realizable(knot, args.tb, args.rot)
-        out.write("realizable=%s\n" % ("true" if ok else "false"))
-        return 0 if ok else 2
-
-    if args.command == "isotopic":
-        a = classify.LegendrianClass(classify.parse_knot(args.knot1), args.tb1, args.rot1)
-        b = classify.LegendrianClass(classify.parse_knot(args.knot2), args.tb2, args.rot2)
-        verdict = classify.decide_isotopy(a, b)
-        out.write("%s\n" % verdict.value)
-        return 0 if verdict is classify.Verdict.ISOTOPIC else 2
-
-    if args.command == "range":
-        knot = classify.parse_knot(args.knot)
-        r = classify.mountain_range(knot, args.depth)
-        out.write(render_range(r, args.format))
-        return 0
-
-    if args.command == "valleys":
-        knot = classify.parse_knot(args.knot)
-        peak_list = classify.peaks(knot)
-        meets = [
-            classify.common_destabilization(knot, peak_list[i], peak_list[i + 1])
-            for i in range(len(peak_list) - 1)
-        ]
-        for tb, rot in sorted(meets, key=lambda p: (-p[0], p[1])):
-            out.write("%d\t%d\n" % (tb, rot))
-        return 0
-
-    if args.command == "farey-cf":
-        out.write(" ".join(str(r) for r in lattice.neg_cf(args.p, args.q)) + "\n")
-        return 0
-
-    if args.command == "farey-count":
-        out.write("%d\n" % convex.tight_count(args.p, args.q))
-        return 0
-
-    if args.command == "bypass-normalize":
-        config = bypass.make_config(args.config)
-        outcome = bypass.normalize(config, args.step_limit)
-        out.write("outcome=%s\n" % outcome.kind.value)
-        out.write("steps=%d\n" % outcome.steps)
-        for line in outcome.trace:
-            out.write(line + "\n")
-        return 0
-
-    if args.command == "transversal-max-sl":
-        out.write("%d\n" % transversal.max_sl(classify.parse_knot(args.knot)))
-        return 0
-
-    if args.command == "transversal-iterated":
-        cables = transversal.parse_cables(args.cables)
-        out.write("%d\n" % transversal.iterated_max_sl(cables))
-        return 0
-
-    if args.command == "bounds":
-        report = classify.bounds_report(classify.parse_knot(args.knot))
-        out.write("bennequin=%d\n" % report.bennequin)
-        if report.fuchs_tabachnikov is not None:
-            out.write("fuchs_tabachnikov=%d\n" % report.fuchs_tabachnikov)
-        out.write("max_tb=%d\n" % report.max_tb)
-        out.write("strict=%s\n" % ("true" if report.strict else "false"))
-        return 0
-
-    raise LegknotError("unknown command %r" % args.command)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        code, text = args.run(args)
     except NonTermination as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except (LegknotError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

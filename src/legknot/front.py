@@ -55,10 +55,8 @@ class _Strand:
 
     sid: int
     birth: int  # event index of the L event
-    birth_upper: bool
     passages: list = field(default_factory=list)  # (event index, "over"/"under")
     death: int = -1
-    death_upper: bool = False
 
 
 class FrontDiagram:
@@ -89,8 +87,8 @@ class FrontDiagram:
                     raise FrontSyntaxError(
                         "left cusp level %d out of range 1..%d" % (ev.level, n + 1)
                     )
-                up = _Strand(len(strands), idx, True)
-                low = _Strand(len(strands) + 1, idx, False)
+                up = _Strand(len(strands), idx)
+                low = _Strand(len(strands) + 1, idx)
                 strands += [up, low]
                 active[ev.level - 1:ev.level - 1] = [up, low]
                 left_pairs[idx] = (up.sid, low.sid)
@@ -101,8 +99,7 @@ class FrontDiagram:
                     )
                 top, bottom = active[ev.level - 1], active[ev.level]
                 if ev.kind == "R":
-                    top.death, top.death_upper = idx, True
-                    bottom.death, bottom.death_upper = idx, False
+                    top.death = bottom.death = idx
                     right_pairs[idx] = (top.sid, bottom.sid)
                     del active[ev.level - 1:ev.level + 1]
                 else:
@@ -189,7 +186,10 @@ class FrontDiagram:
 def parse_front(text) -> FrontDiagram:
     """Parse front text: one event per line, '#' comments, blanks ignored."""
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FrontSyntaxError("front is not UTF-8 text (byte %d)" % exc.start) from None
     events = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from helpers import OVERTWISTED_TRIANGLE, farey_triangles_to_depth, same_orbit
@@ -237,6 +239,26 @@ class TestNormalize:
     def test_step_limit_raises(self):
         with pytest.raises(NonTermination):
             normalize(make_config("III:1/4,2/7,1/3"), step_limit=2)
+
+    def test_step_limit_allows_exactly_that_many_moves(self):
+        starts = [make_config(spec) for spec in (
+            "III:1,2,inf", "III:0,1,inf", "III:5/3,7/4,2", "III:1/4,2/7,1/3",
+            "III:0,1/2,1", "III:-2,-3/2,-1", "I:3x3+1c", "I:3x3+3c",
+            "II:1x2,infx2", "I:infx5+1c",
+        )]
+        rng = random.Random(20000611)
+        for tri in rng.sample(farey_triangles_to_depth(8), 40):
+            starts.append(monodromy_config(type_iii(tri, (1, 1, 1)), rng.randint(-3, 3)))
+        for c in starts:
+            steps = normalize(c).steps
+            assert normalize(c, steps).steps == steps
+            if steps:
+                with pytest.raises(NonTermination):
+                    normalize(c, steps - 1)
+
+    def test_negative_step_limit_unsupported(self):
+        with pytest.raises(Unsupported):
+            normalize(make_config(TIGHT), step_limit=-1)
 
     def test_deterministic_trace(self):
         a = normalize(make_config("III:5/3,7/4,2"))

@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 from helpers import RIGHT_TREFOIL_PEAK_WORD, STABILIZED_UNKNOT_WORD
 from legknot.classify import mountain_range, torus, unknot
-from legknot.cli import main, render_range
+from legknot.cli import _build_parser, main, render_range
 
 
 def run(capsys, *argv):
@@ -33,6 +33,25 @@ class TestInvariantsCommand:
         assert main(["invariants", str(path)]) == 1
         capsys.readouterr()
 
+    def test_non_utf8_front_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "front.txt"
+        path.write_bytes(b"L 1\n\xff\nR 1\n")
+        code, out = run(capsys, "invariants", str(path))
+        assert code == 1 and out == ""
+
+    def test_bad_knot_writes_no_stdout(self, tmp_path, capsys):
+        path = tmp_path / "front.txt"
+        path.write_text(STABILIZED_UNKNOT_WORD)
+        code, out = run(capsys, "invariants", str(path), "--knot", "bogus")
+        assert code == 1 and out == ""
+
+    def test_no_state_between_calls(self, tmp_path, capsys):
+        path = tmp_path / "front.txt"
+        path.write_text(STABILIZED_UNKNOT_WORD)
+        run(capsys, "invariants", str(path), "--knot", "unknot")
+        code, out = run(capsys, "invariants", str(path))
+        assert code == 0 and "bennequin=" not in out
+
 
 class TestClassifyAndIsotopic:
     def test_classify(self, capsys):
@@ -41,6 +60,10 @@ class TestClassifyAndIsotopic:
         assert "max_tb=-21" in out
         assert "peak_rotations=-4,-2,2,4" in out
         assert "realizable=true" in out
+
+    def test_classify_missing_rot_writes_no_stdout(self, capsys):
+        code, out = run(capsys, "classify", "torus:-7,3", "-22")
+        assert code == 1 and out == ""
 
     def test_classify_negative_answer(self, capsys):
         code, out = run(capsys, "classify", "torus:-7,3", "-21", "0")
@@ -139,6 +162,14 @@ class TestBypassCommand:
         assert main(["bypass-normalize", "III:1/4,2/7,1/3", "--step-limit", "1"]) == 3
         capsys.readouterr()
 
+    def test_step_limit_counts_moves(self, capsys):
+        code, out = run(capsys, "bypass-normalize", "III:1/4,2/7,1/3", "--step-limit", "4")
+        assert code == 0 and "steps=4\n" in out
+        code, out = run(capsys, "bypass-normalize", "III:1,2,inf", "--step-limit", "0")
+        assert code == 0 and "steps=0\n" in out
+        code, out = run(capsys, "bypass-normalize", "III:1,2,inf", "--step-limit", "-3")
+        assert code == 1 and out == ""
+
     def test_bad_config_exit_one(self, capsys):
         assert main(["bypass-normalize", "III:1/3,2/3,inf"]) == 1
         assert main(["bypass-normalize", "I:infx5+xc"]) == 1
@@ -164,3 +195,14 @@ class TestTransversalCommands:
         assert out == "bennequin=1\nmax_tb=1\nstrict=false\n"
         assert main(["bounds", "fig8"]) == 1
         capsys.readouterr()
+
+
+class TestParser:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_every_subcommand_has_a_handler(self):
+        (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
+        assert len(sub.choices) == 11
+        for name, parser in sub.choices.items():
+            assert callable(parser.get_default("run")), name

@@ -40,6 +40,10 @@ class TestParsing:
         with pytest.raises(MultiComponent):
             parse_front("L 1\nL 2\nR 2\nR 1")
 
+    def test_non_utf8_bytes_rejected(self):
+        with pytest.raises(FrontSyntaxError):
+            parse_front(b"L 1\n\xff\nR 1\n")
+
     def test_syntax_error_carries_line(self):
         with pytest.raises(FrontSyntaxError) as err:
             parse_front("L 1\nQ 2\nR 1")
