@@ -188,7 +188,10 @@ def _count(text: str, what: str) -> int:
     """A multiplicity or closed-curve count written as a decimal integer."""
     if re.fullmatch(r"-?[0-9]+", text.strip()) is None:
         raise TaxonomyError("%s must be a decimal integer, got %r" % (what, text))
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise TaxonomyError("%s has too many digits" % what) from None
 
 
 def _class_spec(part: str) -> tuple[Slope, int]:
@@ -459,11 +462,16 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
         trace.append("ReduceClosed %dc->1c" % current.closed)
         current = type_i(current.slopes[0], current.mults[0], 1)
 
+    # step in the canonical frame, so each step's window search is short,
+    # and map only the trace back to the input's frame
+    shift = _canonical(current.slopes)[0]
+    frame = monodromy_config(current, shift)
     while len(trace) <= step_limit:
-        terminal, moves = _analyze3(current)
+        terminal, moves = _analyze3(frame)
         if terminal is not None:
             return NormalizationOutcome(terminal, tuple(trace), len(trace))
-        move, result = moves[0]
+        move, frame = moves[0]
+        result = monodromy_config(frame, -shift)
         trace.append(_move_line(move, current, result))
         current = result
     raise NonTermination("no terminal form within %d steps" % step_limit)

@@ -8,20 +8,24 @@ Fronts have no vertical tangencies, so this word determines the diagram;
 crossings carry no over/under data because the resolution is forced
 (the strand descending from position i to i+1 passes in front).
 
+Strands are numbered by their left cusps: the j-th ``L`` event (from 0)
+creates strand 2j (upper branch) and strand 2j+1 (lower branch), so a
+strand's left-cusp partner is ``s ^ 1``.
+
 Invariants come from the projection combinatorics: tb is the writhe
 minus the number of right cusps, and the rotation number is half the
 downward-minus-upward cusp count for the stored orientation.  The
-orientation is the one that traverses the lower branch of the first left
-cusp moving rightward; a cusp entered on its upper branch and left on
-its lower branch counts as downward.  Crossing signs are the product of
-the two strands' horizontal directions, which calibrates the word
+orientation is the one that traverses strand 1, the lower branch of the
+first left cusp, moving rightward; a cusp entered on its upper branch
+and left on its lower branch counts as downward.  Crossing signs are the
+product of the two strands' horizontal directions, which calibrates the word
 [L 1, L 1, X 2, X 2, X 2, R 1, R 1] to writhe +3 (the maximal
 right-trefoil front, tb = 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import classify
 from .errors import FrontSyntaxError, MultiComponent, NoSuchStrand
@@ -49,16 +53,6 @@ class FrontEvent:
         return "%s %d" % (self.kind, self.level)
 
 
-@dataclass
-class _Strand:
-    """A strand segment from its left cusp to its right cusp."""
-
-    sid: int
-    birth: int  # event index of the L event
-    passages: list = field(default_factory=list)  # (event index, "over"/"under")
-    death: int = -1
-
-
 class FrontDiagram:
     """A validated single-component front.
 
@@ -74,24 +68,21 @@ class FrontDiagram:
         self._build()
 
     def _build(self) -> None:
-        strands: list[_Strand] = []
-        active: list[_Strand] = []
-        left_pairs: dict[int, tuple[int, int]] = {}
-        right_pairs: dict[int, tuple[int, int]] = {}
-        crossings: list[tuple[int, int, int]] = []  # (event idx, over sid, under sid)
+        active: list[int] = []
+        right_partner: list[int] = []
+        right_uppers: list[int] = []
+        crossings: list[tuple[int, int]] = []  # (over, under) in event order
 
-        for idx, ev in enumerate(self.events):
+        for ev in self.events:
             n = len(active)
             if ev.kind == "L":
                 if not 1 <= ev.level <= n + 1:
                     raise FrontSyntaxError(
                         "left cusp level %d out of range 1..%d" % (ev.level, n + 1)
                     )
-                up = _Strand(len(strands), idx)
-                low = _Strand(len(strands) + 1, idx)
-                strands += [up, low]
-                active[ev.level - 1:ev.level - 1] = [up, low]
-                left_pairs[idx] = (up.sid, low.sid)
+                sid = len(right_partner)
+                active[ev.level - 1:ev.level - 1] = [sid, sid + 1]
+                right_partner += [-1, -1]
             elif ev.kind in ("R", "X"):
                 if not 1 <= ev.level <= n - 1:
                     raise FrontSyntaxError(
@@ -99,14 +90,12 @@ class FrontDiagram:
                     )
                 top, bottom = active[ev.level - 1], active[ev.level]
                 if ev.kind == "R":
-                    top.death = bottom.death = idx
-                    right_pairs[idx] = (top.sid, bottom.sid)
+                    right_partner[top], right_partner[bottom] = bottom, top
+                    right_uppers.append(top)
                     del active[ev.level - 1:ev.level + 1]
                 else:
                     # descending strand (from level i to i+1) is in front
-                    top.passages.append((idx, "over"))
-                    bottom.passages.append((idx, "under"))
-                    crossings.append((idx, top.sid, bottom.sid))
+                    crossings.append((top, bottom))
                     active[ev.level - 1], active[ev.level] = bottom, top
             else:
                 raise FrontSyntaxError("unknown event kind %r" % ev.kind)
@@ -115,37 +104,27 @@ class FrontDiagram:
             raise FrontSyntaxError(
                 "diagram does not close: %d strands remain" % len(active)
             )
-        if not strands:
+        if not right_partner:
             raise FrontSyntaxError("empty diagram")
 
-        self._strands = strands
-        self._left_pairs = left_pairs
-        self._right_pairs = right_pairs
+        self._right_uppers = right_uppers
         self._crossings = crossings
-        self._trace_orientation()
+        self._trace_orientation(right_partner)
 
-    def _partner(self, pair: tuple[int, int], sid: int) -> int:
-        return pair[0] if pair[1] == sid else pair[1]
-
-    def _trace_orientation(self) -> None:
+    def _trace_orientation(self, right_partner: list[int]) -> None:
         """Walk the knot once; record each strand's horizontal direction."""
-        start = self._left_pairs[min(self._left_pairs)][1]  # lower branch
-        direction: dict[int, int] = {}
-        sid, d = start, +1
+        direction = [0] * len(right_partner)
+        sid, d = 1, +1  # lower branch of the first left cusp, moving rightward
         cycle = []
-        while sid not in direction:
+        while not direction[sid]:
             direction[sid] = d
             cycle.append((sid, d))
-            s = self._strands[sid]
-            if d == +1:
-                sid = self._partner(self._right_pairs[s.death], sid)
-            else:
-                sid = self._partner(self._left_pairs[s.birth], sid)
+            sid = right_partner[sid] if d == +1 else sid ^ 1
             d = -d
-        if len(direction) != len(self._strands):
+        if len(cycle) != len(direction):
             raise MultiComponent(
                 "front has more than one component (%d of %d strands traced)"
-                % (len(direction), len(self._strands))
+                % (len(cycle), len(direction))
             )
         self._direction = direction
         self.traversal_cycle = tuple(cycle)
@@ -162,25 +141,21 @@ class FrontDiagram:
     def cusp_counts(self, reverse_orientation: bool = False) -> tuple[int, int]:
         """(downward, upward) cusp counts for the stored orientation."""
         sgn = -1 if reverse_orientation else 1
-        down = up = 0
-        for pairs, entering in ((self._right_pairs, +1), (self._left_pairs, -1)):
-            for pair in pairs.values():
-                upper = pair[0]
-                if sgn * self._direction[upper] == entering:
-                    down += 1
-                else:
-                    up += 1
-        return down, up
+        # a right cusp is downward when its upper strand moves rightward, a
+        # left cusp when its upper strand (the even id) moves leftward
+        down = sum(self._direction[s] == sgn for s in self._right_uppers)
+        down += sum(d == -sgn for d in self._direction[::2])
+        return down, len(self._direction) - down
 
     def writhe(self) -> int:
         """Sum of crossing signs; independent of the global orientation."""
         return sum(
             self._direction[over] * self._direction[under]
-            for _, over, under in self._crossings
+            for over, under in self._crossings
         )
 
     def right_cusps(self) -> int:
-        return len(self._right_pairs)
+        return len(self._right_uppers)
 
 
 def parse_front(text) -> FrontDiagram:

@@ -30,12 +30,15 @@ def three_colorings(d: FrontDiagram) -> int:
     """Number of Fox 3-colorings of the underlying knot diagram.
 
     3 means trivially colored only; a 3-crossing diagram with 9 colorings
-    is a trefoil.  Uses only the traversal and crossing passages.
+    is a trefoil.  Uses only the traversal and the crossing list.
     """
+    passages = {sid: [] for sid, _ in d.traversal_cycle}
+    for k, (over, under) in enumerate(d._crossings):  # event order
+        passages[over].append((k, "over"))
+        passages[under].append((k, "under"))
     stream = []
     for sid, direction in d.traversal_cycle:
-        passages = d._strands[sid].passages
-        stream.extend(passages if direction == +1 else list(reversed(passages)))
+        stream.extend(passages[sid] if direction == +1 else reversed(passages[sid]))
     under_positions = [i for i, (_, role) in enumerate(stream) if role == "under"]
     if not under_positions:
         return 3
@@ -217,3 +220,5 @@ def random_hints(d: FrontDiagram, rng: random.Random):
 TREFOIL_WORD = "L 1\nL 1\nL 1\nX 2\nX 4\nR 3\nX 2\nR 1\nR 1\n"
 RIGHT_TREFOIL_PEAK_WORD = "L 1\nL 1\nX 2\nX 2\nX 2\nR 1\nR 1\n"
 STABILIZED_UNKNOT_WORD = "L 1\nL 2\nR 1\nR 1\n"
+# configuration specs whose counts have more digits than int() converts
+HUGE_COUNT_SPECS = ("I:infx1%s1+1c" % ("0" * 4998), "I:infx3+%sc" % ("9" * 5000))

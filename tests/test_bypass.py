@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import OVERTWISTED_TRIANGLE, farey_triangles_to_depth, same_orbit
+from helpers import HUGE_COUNT_SPECS, OVERTWISTED_TRIANGLE, farey_triangles_to_depth, same_orbit
+from legknot import bypass
 from legknot.bypass import (
     ConfigKind,
     DestabilizationFound,
@@ -32,7 +33,7 @@ from legknot.errors import (
     TaxonomyError,
     Unsupported,
 )
-from legknot.lattice import cmp_fixed, monodromy_apply, parse_slope
+from legknot.lattice import cmp_fixed, mediant, monodromy_apply, parse_slope
 
 
 def S(text):
@@ -74,6 +75,9 @@ class TestConstruction:
             make_config("I:infx5+xc")  # closed count is not an integer
         with pytest.raises(TaxonomyError):
             make_config("III:1x,2,inf")  # empty multiplicity after 'x'
+        for spec in HUGE_COUNT_SPECS:
+            with pytest.raises(TaxonomyError):
+                make_config(spec)
 
     def test_spec_strings(self):
         assert make_config("I:infx5+1c").arcs() == 5
@@ -255,6 +259,30 @@ class TestNormalize:
             if steps:
                 with pytest.raises(NonTermination):
                     normalize(c, steps - 1)
+
+    def test_shifted_start_finds_its_frame_once(self, monkeypatch):
+        # a triangle 20 mediants below the edge {1, inf}, above the fixed slope
+        low, high = S("1"), S("inf")
+        for i in range(20):
+            low, high = (low, mediant(low, high)) if i % 2 else (mediant(low, high), high)
+        c = type_iii((low, high, mediant(low, high)), (1, 1, 1))
+        calls = []
+
+        def counting_apply(s, k=1):
+            calls.append(k)
+            return monodromy_apply(s, k)
+
+        monkeypatch.setattr(bypass, "monodromy_apply", counting_apply)
+        plain = normalize(c)
+        unshifted = len(calls)
+        for shift in (150, -150):
+            start = monodromy_config(c, shift)
+            calls.clear()
+            out = normalize(start)
+            assert out.kind is plain.kind and out.steps == plain.steps
+            # finding the canonical frame once costs 3 calls per power of M;
+            # re-finding it at every step cost that much per step
+            assert len(calls) - unshifted <= 4 * abs(shift)
 
     def test_negative_step_limit_unsupported(self):
         with pytest.raises(Unsupported):

@@ -1,6 +1,6 @@
 import xml.etree.ElementTree as ET
 
-from helpers import RIGHT_TREFOIL_PEAK_WORD, STABILIZED_UNKNOT_WORD
+from helpers import HUGE_COUNT_SPECS, RIGHT_TREFOIL_PEAK_WORD, STABILIZED_UNKNOT_WORD
 from legknot.classify import mountain_range, torus, unknot
 from legknot.cli import _build_parser, main, render_range
 
@@ -174,6 +174,8 @@ class TestBypassCommand:
         assert main(["bypass-normalize", "III:1/3,2/3,inf"]) == 1
         assert main(["bypass-normalize", "I:infx5+xc"]) == 1
         assert main(["bypass-normalize", "III:1x,2,inf"]) == 1
+        for spec in HUGE_COUNT_SPECS:
+            assert main(["bypass-normalize", spec]) == 1
         capsys.readouterr()
 
 

@@ -1,0 +1,131 @@
+"""Property tests for the parsers: outside input ends in a LegknotError.
+
+Inputs mix arbitrary text with near-valid specs built from each parser's
+grammar, so that both the rejection paths and the accepted results are
+exercised.  Every accepted front is also checked against the definitions
+of its invariants.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from legknot.bypass import make_config
+from legknot.classify import parse_knot
+from legknot.errors import LegknotError
+from legknot.front import invariants, parse_front
+from legknot.lattice import parse_slope
+from legknot.transversal import parse_cables
+
+FUZZ = settings(database=None, derandomize=True, deadline=None)
+
+_ints = st.integers(min_value=-12, max_value=12).map(str)
+_junk = st.text(alphabet="0123456789-+/x:,;c .#\nLRXIinf", max_size=12)
+_numbers = st.one_of(_ints, _junk, st.sampled_from(["", " ", "1" * 5000, "-0", "+3", "٣"]))
+
+
+@st.composite
+def _event_words(draw):
+    """Event words within the level bounds, a quarter of them with one line
+    replaced by junk, an out-of-range level or nothing."""
+    lines, n = [], 0
+    while not lines or n and len(lines) < 40:
+        kind = draw(st.sampled_from(["L", "R", "X", "X"] if n >= 2 else ["L"]))
+        level = draw(st.integers(1, n + 1 if kind == "L" else n - 1))
+        n += 2 if kind == "L" else -2 if kind == "R" else 0
+        lines.append("%s %d" % (kind, level))
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.one_of(
+            _junk, st.just(""), st.integers(-1, 2 * len(lines)).map("X %d".__mod__)
+        ))
+    return "\n".join(lines) + "\n"
+
+
+_fronts = st.one_of(_event_words(), st.text(max_size=40))
+_front_bytes = st.one_of(
+    _event_words().map(str.encode),
+    st.binary(max_size=40),
+    st.tuples(_event_words(), st.binary(max_size=3)).map(lambda t: t[0].encode() + t[1]),
+)
+
+
+def _check_front(data):
+    try:
+        d = parse_front(data)
+    except LegknotError:
+        return
+    inv = invariants(d)
+    assert inv.tb == inv.writhe - inv.right_cusps
+    assert inv.down_cusps + inv.up_cusps == 2 * inv.right_cusps  # as many left cusps
+    rev = invariants(d, reverse_orientation=True)
+    assert (rev.tb, rev.rot) == (inv.tb, -inv.rot)
+
+
+@FUZZ
+@given(_fronts)
+def test_parse_front_text(text):
+    _check_front(text)
+
+
+@FUZZ
+@given(_front_bytes)
+def test_parse_front_bytes(data):
+    _check_front(data)
+
+
+_slopes = st.one_of(
+    _numbers,
+    st.sampled_from(["inf", "0", "1", "2", "1/2", "-1", "1/0", "0/0", "2/4"]),
+    st.tuples(_ints, _ints).map("/".join),
+)
+_classes = st.tuples(_slopes, st.one_of(st.just(""), _numbers.map("x".__add__))).map(
+    "".join
+)
+_configs = st.one_of(
+    st.text(max_size=30),
+    st.tuples(
+        st.sampled_from(["I", "II", "III", "IV", ""]),
+        st.lists(_classes, min_size=1, max_size=4).map(",".join),
+        st.one_of(st.just(""), _numbers.map(lambda t: "+%sc" % t), _junk),
+    ).map(lambda t: "%s:%s%s" % t),
+)
+
+
+def _only_legknot_errors(parse, text):
+    try:
+        parse(text)
+    except LegknotError:
+        pass
+
+
+@FUZZ
+@given(_configs)
+def test_make_config(spec):
+    _only_legknot_errors(make_config, spec)
+
+
+@FUZZ
+@given(st.one_of(
+    st.text(max_size=20),
+    st.tuples(_numbers, _numbers).map(lambda t: "torus:%s,%s" % t),
+    st.sampled_from(["unknot", "fig8", " fig8 ", "torus:", "torus:3", "torus:3,2,1"]),
+))
+def test_parse_knot(text):
+    _only_legknot_errors(parse_knot, text)
+
+
+@FUZZ
+@given(st.one_of(st.text(max_size=20), _slopes))
+def test_parse_slope(text):
+    _only_legknot_errors(parse_slope, text)
+
+
+@FUZZ
+@given(st.one_of(
+    st.text(max_size=20),
+    st.lists(st.tuples(_numbers, _numbers).map(",".join), min_size=1, max_size=3).map(
+        ";".join
+    ),
+))
+def test_parse_cables(text):
+    _only_legknot_errors(parse_cables, text)
