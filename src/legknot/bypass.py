@@ -40,7 +40,6 @@ transitions.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,6 +51,7 @@ from .errors import (
     ParityError,
     TaxonomyError,
     Unsupported,
+    decimal,
 )
 from .lattice import (
     INF,
@@ -186,12 +186,10 @@ def type_iii(slopes, mults) -> DividingConfig:
 
 def _count(text: str, what: str) -> int:
     """A multiplicity or closed-curve count written as a decimal integer."""
-    if re.fullmatch(r"-?[0-9]+", text.strip()) is None:
-        raise TaxonomyError("%s must be a decimal integer, got %r" % (what, text))
     try:
-        return int(text)
-    except ValueError:  # more digits than the interpreter converts
-        raise TaxonomyError("%s has too many digits" % what) from None
+        return decimal(text)
+    except ValueError as exc:
+        raise TaxonomyError("%s %s" % (what, exc)) from None
 
 
 def _class_spec(part: str) -> tuple[Slope, int]:
@@ -384,9 +382,13 @@ def destabilizing_moves(c: DividingConfig) -> list[DestabilizingMove]:
     if c.kind is ConfigKind.II:
         return [DestabilizingMove(c.slopes[0], "two-class configurations destabilize")]
     if c.kind is ConfigKind.I and c.mults[0] > 3:
-        return [DestabilizingMove(c.slopes[0], "nested bypasses on a one-class configuration with more than three arcs")]
+        return [DestabilizingMove(
+            c.slopes[0], "nested bypasses on a one-class configuration with more than three arcs"
+        )]
     if c.kind is ConfigKind.III and c.arcs() > 3:
-        return [DestabilizingMove(c.slopes[0], "three-class configuration with more than three arcs")]
+        return [DestabilizingMove(
+            c.slopes[0], "three-class configuration with more than three arcs"
+        )]
     return []
 
 

@@ -10,12 +10,27 @@ data implemented here:
 
   unknot          tb = -1,         rotation 0
   positive torus  tb = pq - p - q, rotation 0
-  negative torus  tb = pq,         rotation +-(|p| - q - 2qk), 0 <= k < (|p|-q)/q
+  negative torus  tb = pq,         rotation +-(|p| - q - 2qk), 0 <= k < floor(|p|/q)
   figure eight    tb = -3,         rotation 0
 
-Negative torus knots have several peaks; the first meeting points of
-adjacent stabilization cones (the "valleys") are computed from the
-division |p| = mq + e.
+Every peak set is one progression and its negatives: rotations
++-(top - i*step) for 0 <= i < count, with (top, count, step) equal to
+(|p| - q, floor(|p|/q), 2q) for negative torus knots and (0, 1, 2)
+otherwise.  The step is even, so every peak has the parity of top.  For
+a negative torus knot the two progressions never meet, because q does
+not divide |p|.  Point queries (realizability, the peak test, adjacency,
+maximal self-linking) are O(1) arithmetic on (top, count, step).
+
+The valleys of a negative torus knot are the first meeting points of
+adjacent peak cones.  With |p| = mq + e and 0 < e < q, the sorted peak
+rotations alternate gaps 2e and 2(q - e), both below 2q.  Two peaks
+that are not neighbours span at least two consecutive gaps, one of each
+kind, so at least 2q.  Two distinct peaks are therefore adjacent exactly
+when their rotations differ by less than 2q.
+
+The enumerations (peaks, peak_rotations, mountain_range) are large by
+nature, so they check a bound on their output before building it and
+raise Unsupported when it exceeds MAX_ROWS rows.
 """
 
 from __future__ import annotations
@@ -24,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .errors import InvalidKnot, NotAdjacent, Unrealizable, Unsupported
+from .errors import InvalidKnot, NotAdjacent, Unrealizable, Unsupported, decimal
 
 __all__ = [
     "Sign",
@@ -49,6 +64,8 @@ __all__ = [
     "common_destabilization",
     "bounds_report",
 ]
+
+MAX_ROWS = 10**6  # the most rows an enumeration builds
 
 
 class Sign(Enum):
@@ -123,7 +140,7 @@ def parse_knot(text: str) -> KnotType:
         body = text[len("torus:"):]
         try:
             p_text, q_text = body.split(",")
-            return torus(int(p_text), int(q_text))
+            return torus(decimal(p_text), decimal(q_text))
         except ValueError as exc:
             raise InvalidKnot("cannot parse torus spec %r" % text) from exc
     raise InvalidKnot("unknown knot spec %r" % text)
@@ -149,17 +166,23 @@ def max_tb(k: KnotType) -> int:
     return k.p * k.q
 
 
+def _progression(k: KnotType) -> tuple[int, int, int]:
+    """(top, count, step): the peak rotations are +-(top - i*step), 0 <= i < count."""
+    if k.kind != "torus" or k.p > 0:
+        return 0, 1, 2
+    return -k.p - k.q, -k.p // k.q, 2 * k.q
+
+
+def _check_rows(k: KnotType, rows: int) -> None:
+    if rows > MAX_ROWS:
+        raise Unsupported("%s: up to %d rows, more than the cap of %d" % (k, rows, MAX_ROWS))
+
+
 def peak_rotations(k: KnotType) -> set[int]:
     """Rotation numbers realized at maximal tb."""
-    if k.kind != "torus" or k.p > 0:
-        return {0}
-    a, q = -k.p, k.q
-    out = set()
-    for k_idx in range(a // q):
-        r = a - q - 2 * q * k_idx
-        out.add(r)
-        out.add(-r)
-    return out
+    top, count, step = _progression(k)
+    _check_rows(k, 2 * count)
+    return {sign * (top - i * step) for i in range(count) for sign in (1, -1)}
 
 
 @dataclass(frozen=True)
@@ -176,13 +199,22 @@ def peaks(k: KnotType) -> tuple[Peak, ...]:
 
 def realizable(k: KnotType, tb: int, rot: int) -> bool:
     """True iff (tb, rot) lies in some peak's stabilization cone."""
-    for peak in peaks(k):
-        depth = peak.tb - tb
-        if depth < 0:
-            continue
-        if abs(rot - peak.rot) <= depth and (rot - peak.rot - depth) % 2 == 0:
+    depth = max_tb(k) - tb
+    top, count, step = _progression(k)
+    if depth < 0 or (rot - top - depth) % 2:
+        return False
+    for r in (rot, -rot):  # -rot against the negated progression
+        i = min(max((top - r + step // 2) // step, 0), count - 1)  # the nearest member
+        if abs(r - top + i * step) <= depth:
             return True
     return False
+
+
+def _is_peak(k: KnotType, a) -> bool:
+    top, count, step = _progression(k)
+    if not isinstance(a, Peak) or a.tb != max_tb(k):
+        return False
+    return any(0 <= top - r < count * step and (top - r) % step == 0 for r in (a.rot, -a.rot))
 
 
 @dataclass(frozen=True)
@@ -227,6 +259,8 @@ class MountainRange:
 def mountain_range(k: KnotType, depth: int) -> MountainRange:
     if depth < 0:
         raise Unsupported("depth must be non-negative")
+    top_rot, count, _ = _progression(k)
+    _check_rows(k, (2 * count if top_rot else 1) * (depth + 1) ** 2)
     top = max_tb(k)
     pairs = set()
     for peak in peaks(k):
@@ -239,20 +273,17 @@ def mountain_range(k: KnotType, depth: int) -> MountainRange:
 def common_destabilization(k: KnotType, a: Peak, b: Peak) -> tuple[int, int]:
     """First class where the cones of two adjacent peaks meet.
 
-    For a negative torus knot with |p| = mq + e the rotation gaps between
-    adjacent peaks are 2e and 2(q - e); the cones of peaks with gap 2g
-    meet at depth g, at rotation halfway between.
+    Adjacent peaks differ in rotation by 2g < 2q (see the module
+    docstring); their cones meet at depth g, at rotation halfway between.
     """
     if k.kind != "torus" or k.p > 0:
         raise Unsupported("valleys exist only for negative torus knots")
-    peak_list = peaks(k)
-    if a not in peak_list or b not in peak_list:
+    if not (_is_peak(k, a) and _is_peak(k, b)):
         raise NotAdjacent("inputs must be peaks of %s" % k)
     if a == b:
         raise NotAdjacent("peaks are equal")
     hi, lo = (a, b) if a.rot > b.rot else (b, a)
-    between = [p for p in peak_list if lo.rot < p.rot < hi.rot]
-    if between:
+    if hi.rot - lo.rot >= 2 * k.q:  # a third peak lies between them
         raise NotAdjacent("peaks %s and %s are not adjacent" % (a, b))
     g = (hi.rot - lo.rot) // 2
     return (max_tb(k) - g, hi.rot - g)

@@ -3,9 +3,10 @@
 Subcommands expose one computation each with line-oriented, byte-stable
 output.  Exit codes: 0 success, 1 invalid input, 2 valid query whose
 mathematical answer is negative (predicates only), 3 internal step limit
-exceeded.  Each subparser names its handler; a handler returns its exit
-code and output text, and ``main`` writes the text only after the handler
-returned, so exits 1 and 3 leave stdout empty.
+exceeded.  A usage error is invalid input too (exit 1).  Each subparser
+names its handler; a handler returns its exit code and output text, and
+``main`` writes the text only after the handler returned, so exits 1 and
+3 leave stdout empty.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import sys
 
 from . import bypass, classify, convex, front, lattice, transversal
-from .errors import LegknotError, NonTermination
+from .errors import LegknotError, NonTermination, decimal
 
 __all__ = ["main", "render_range"]
 
@@ -140,9 +141,16 @@ def _bounds(args):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a LegknotError, so that it exits 1."""
+
+    def error(self, message):
+        raise LegknotError("%s: %s" % (self.prog, message))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="legknot",
         description="Classical invariants and classification of Legendrian "
         "and transversal unknots, torus knots, and figure-eight knots.",
@@ -168,8 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "of Legendrian knots by knot type, tb and rotation number)",
     )
     p.add_argument("knot")
-    p.add_argument("tb", nargs="?", type=int)
-    p.add_argument("rot", nargs="?", type=int)
+    p.add_argument("tb", nargs="?", type=decimal)
+    p.add_argument("rot", nargs="?", type=decimal)
     p.set_defaults(run=_classify)
 
     p = sub.add_parser(
@@ -178,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "invariants form a complete set for these knot types)",
     )
     for name in ("knot1", "tb1", "rot1", "knot2", "tb2", "rot2"):
-        p.add_argument(name, type=int if name[0] in "tr" else str)
+        p.add_argument(name, type=decimal if name[0] in "tr" else str)
     p.set_defaults(run=_isotopic)
 
     p = sub.add_parser(
@@ -187,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(peak theorems for maximal tb plus stabilization cones)",
     )
     p.add_argument("--knot", required=True)
-    p.add_argument("--depth", required=True, type=int)
+    p.add_argument("--depth", required=True, type=decimal)
     p.add_argument("--format", choices=("tsv", "svg"), default="tsv")
     p.set_defaults(run=lambda a: (0, render_range(
         classify.mountain_range(classify.parse_knot(a.knot), a.depth), a.format
@@ -205,8 +213,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "farey-cf",
         help="negative continued fraction of -p/q with all entries <= -2",
     )
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
+    p.add_argument("p", type=decimal)
+    p.add_argument("q", type=decimal)
     p.set_defaults(run=lambda a: (0, " ".join(str(r) for r in lattice.neg_cf(a.p, a.q)) + "\n"))
 
     p = sub.add_parser(
@@ -215,8 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "boundary slope -p/q (continued-fraction product from the "
         "classification of tight structures on solid tori)",
     )
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
+    p.add_argument("p", type=decimal)
+    p.add_argument("q", type=decimal)
     p.set_defaults(run=lambda a: (0, "%d\n" % convex.tight_count(a.p, a.q)))
 
     p = sub.add_parser(
@@ -226,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "{0,1,inf}, or a forced destabilization)",
     )
     p.add_argument("config")
-    p.add_argument("--step-limit", type=int, default=None)
+    p.add_argument("--step-limit", type=decimal, default=None)
     p.set_defaults(run=_bypass_normalize)
 
     p = sub.add_parser(
@@ -259,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code, text = args.run(args)
     except NonTermination as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,4 +1,17 @@
-"""Exception types shared across the library."""
+"""Exception types, and the integer grammar, shared across the library."""
+
+
+def decimal(text: str) -> int:
+    """The integer grammar of every parser: ASCII digits with an optional '-'
+    and spaces around.  int() alone also takes '+', '_' and non-ASCII digits."""
+    if not (text.isdigit() and text.isascii()):  # plain digits need no more checks
+        digits = text.strip().removeprefix("-")
+        if not (digits.isdigit() and digits.isascii()):
+            raise ValueError("must be a decimal integer, got %r" % text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise ValueError("has too many digits") from None
 
 
 class LegknotError(Exception):

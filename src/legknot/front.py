@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import classify
-from .errors import FrontSyntaxError, MultiComponent, NoSuchStrand
+from .errors import FrontSyntaxError, MultiComponent, NoSuchStrand, decimal
 
 __all__ = [
     "FrontEvent",
@@ -174,7 +174,7 @@ def parse_front(text) -> FrontDiagram:
         if len(parts) != 2 or parts[0] not in _KINDS:
             raise FrontSyntaxError("expected 'L i', 'R i' or 'X i', got %r" % raw, lineno)
         try:
-            level = int(parts[1])
+            level = decimal(parts[1])
         except ValueError:
             raise FrontSyntaxError("bad level %r" % parts[1], lineno) from None
         if level < 1:

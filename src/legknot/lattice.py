@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .errors import DegenerateEdge, InvalidFraction, InvalidSlope
+from .errors import DegenerateEdge, InvalidFraction, InvalidSlope, decimal
 
 __all__ = [
     "IntegralVector",
@@ -164,8 +164,8 @@ def parse_slope(text: str) -> Slope:
     try:
         if "/" in text:
             num_text, den_text = text.split("/", 1)
-            return reduce_slope(int(num_text), int(den_text))
-        return Slope(int(text), 1)
+            return reduce_slope(decimal(num_text), decimal(den_text))
+        return Slope(decimal(text), 1)
     except (ValueError, InvalidSlope) as exc:
         raise InvalidSlope("cannot parse slope %r" % text) from exc
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .classify import KnotType, LegendrianClass, Sign, Verdict, peaks
-from .errors import InvalidCable, Unrealizable
+from .classify import KnotType, LegendrianClass, Sign, Verdict, _progression, max_tb
+from .errors import InvalidCable, Unrealizable, decimal
 
 __all__ = [
     "TransversalClass",
@@ -43,11 +43,11 @@ def stable_invariant(c: LegendrianClass) -> int:
 def max_sl(k: KnotType) -> int:
     """Largest self-linking number of a transversal knot of this type.
 
-    Equals the maximum of tb + r over the Legendrian peaks; the closed
-    forms are -1 (unknot), pq - p - q (positive torus),
+    Equals the maximum of tb + r over the Legendrian peaks, max tb plus
+    the largest peak rotation; the closed forms are -1 (unknot), pq - p - q (positive torus),
     pq + |p| - |q| (negative torus), and -3 (figure eight).
     """
-    return max(p.tb + p.rot for p in peaks(k))
+    return max_tb(k) + _progression(k)[0]
 
 
 def is_realizable_sl(k: KnotType, sl: int) -> bool:
@@ -79,7 +79,7 @@ def parse_cables(text: str) -> list[tuple[int, int]]:
     for chunk in text.strip().split(";"):
         try:
             p_text, q_text = chunk.split(",")
-            out.append((int(p_text), int(q_text)))
+            out.append((decimal(p_text), decimal(q_text)))
         except ValueError as exc:
             raise InvalidCable("cannot parse cable %r" % chunk) from exc
     return out

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 colorings come from the diagram's crossing relations, tight-structure
-counts from shortest paths in the Farey graph, and triangle enumeration
-from raw mediant subdivision.
+counts from shortest paths in the Farey graph, triangle enumeration
+from raw mediant subdivision, and realizability from a scan over every
+peak's stabilization cone.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import itertools
 import random
 from math import gcd
 
-from legknot.classify import Sign
+from legknot.classify import KnotType, Peak, Sign, max_tb
 from legknot.front import FrontDiagram, FrontEvent, invariants, parse_front, stabilize_diagram
 from legknot.lattice import (
     INF,
@@ -64,6 +65,46 @@ def three_colorings(d: FrontDiagram) -> int:
         if all((2 * colors[o] - colors[i] - colors[j]) % 3 == 0 for o, i, j in relations):
             count += 1
     return count
+
+
+def listed_peaks(k: KnotType) -> list[Peak]:
+    """Every peak, rotation descending, listed one by one from the
+    negative-torus theorem: rotations +-(|p| - q - 2qk), 0 <= k < |p|/q."""
+    rots = {0}
+    if k.kind == "torus" and k.p < 0:
+        a, q = -k.p, k.q
+        rots = {sign * (a - q - 2 * q * i) for i in range(a // q) for sign in (1, -1)}
+    return [Peak(max_tb(k), r) for r in sorted(rots, reverse=True)]
+
+
+def _cone(peak: Peak, tb: int) -> set[int]:
+    """Rotations reached from peak by peak.tb - tb stabilizations."""
+    depth = peak.tb - tb
+    return {peak.rot - depth + 2 * i for i in range(depth + 1)}
+
+
+def cone_scan_realizable(k: KnotType, tb: int, rot: int) -> bool:
+    """Whether (tb, rot) lies in the stabilization cone of some listed peak."""
+    return any(rot in _cone(peak, tb) for peak in listed_peaks(k))
+
+
+def cone_scan_max_sl(k: KnotType) -> int:
+    return max(peak.tb + peak.rot for peak in listed_peaks(k))
+
+
+def cone_scan_valley(k: KnotType, a: Peak, b: Peak):
+    """First meeting point of the cones of two peaks that no third listed
+    peak separates, or None where common_destabilization must refuse."""
+    listed = listed_peaks(k)
+    if a == b or a not in listed or b not in listed:
+        return None
+    if any(min(a.rot, b.rot) < p.rot < max(a.rot, b.rot) for p in listed):
+        return None
+    tb = a.tb
+    while not _cone(a, tb) & _cone(b, tb):
+        tb -= 1
+    (rot,) = _cone(a, tb) & _cone(b, tb)
+    return (tb, rot)
 
 
 def _neighbors_in_window(s: Slope, p: int, q: int) -> list[Slope]:

@@ -1,5 +1,7 @@
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from helpers import HUGE_COUNT_SPECS, RIGHT_TREFOIL_PEAK_WORD, STABILIZED_UNKNOT_WORD
 from legknot.classify import mountain_range, torus, unknot
 from legknot.cli import _build_parser, main, render_range
@@ -208,3 +210,54 @@ class TestParser:
         assert len(sub.choices) == 11
         for name, parser in sub.choices.items():
             assert callable(parser.get_default("run")), name
+
+    def test_usage_errors_exit_one(self, capsys):
+        for argv in ([], ["bogus"], ["range", "--knot", "unknot"], ["classify"],
+                     ["range", "--knot", "unknot", "--depth", "2", "--format", "png"]):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: legknot"), argv
+            assert captured.err.count("\n") == 1, argv
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["classify", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert "usage:" in capsys.readouterr().out
+
+    def test_integer_arguments_are_ascii_decimal(self, capsys):
+        for bad in ("١", "+1", "1_0", "٣", "", "0x1", "1" * 5000):
+            for argv in (["classify", "unknot", bad, "0"],
+                         ["range", "--knot", "unknot", "--depth", bad],
+                         ["isotopic", "unknot", "-1", bad, "unknot", "-1", "0"],
+                         ["farey-cf", bad, "3"],
+                         ["classify", "torus:-7,%s" % bad]):
+                code, out = run(capsys, *argv)
+                assert code == 1 and out == "", argv
+        code, out = run(capsys, "classify", "unknot", " -2 ", "1")
+        assert code == 0 and out.endswith("realizable=true\n")
+
+
+class TestHugeKnots:
+    HUGE = "torus:-1000000001,3"
+
+    def test_enumerations_refused(self, capsys):
+        for argv in (["classify", self.HUGE], ["classify", self.HUGE, "0", "0"],
+                     ["valleys", "--knot", self.HUGE],
+                     ["range", "--knot", self.HUGE, "--depth", "0"],
+                     ["range", "--knot", "unknot", "--depth", "1000000000"]):
+            code, out = run(capsys, *argv)
+            assert code == 1 and out == "", argv
+
+    def test_point_queries_answer(self, capsys):
+        p, q = -1000000001, 3
+        top, peak = p * q, -p - q
+        code, out = run(capsys, "isotopic", self.HUGE, str(top), str(peak),
+                        self.HUGE, str(top), str(peak))
+        assert code == 0 and out == "isotopic\n"
+        code, out = run(capsys, "isotopic", self.HUGE, str(top), str(-peak),
+                        self.HUGE, str(top - 1), str(-peak - 1))
+        assert code == 2 and out == "distinct\n"
+        code, out = run(capsys, "transversal-max-sl", self.HUGE)
+        assert code == 0 and out == "%d\n" % (p * q + abs(p) - q)

@@ -1,0 +1,148 @@
+"""The O(1) classification against enumerating oracles and replayed witnesses.
+
+`realizable`, `max_sl` and `common_destabilization` answer from one peak
+progression without listing the peaks.  Here they are compared with a
+scan over every listed peak's cone on a grid of small knot types, with
+classes reached by replaying stabilizations from a peak for |p| up to
+10^9, and run with the enumerations disabled.
+"""
+
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import cone_scan_max_sl, cone_scan_realizable, cone_scan_valley, listed_peaks
+from legknot import classify, transversal
+from legknot.classify import (
+    MAX_ROWS,
+    LegendrianClass,
+    Peak,
+    Sign,
+    common_destabilization,
+    figure_eight,
+    max_tb,
+    mountain_range,
+    peak_rotations,
+    peaks,
+    realizable,
+    stabilize_class,
+    torus,
+    unknot,
+)
+from legknot.errors import NotAdjacent, Unsupported
+from legknot.transversal import is_realizable_sl, max_sl
+
+GRID = [unknot(), figure_eight()] + [
+    torus(sign * a, q)
+    for a in range(3, 20)
+    for q in range(2, a)
+    if gcd(a, q) == 1
+    for sign in (1, -1)
+]
+
+
+def _valley(k, a, b):
+    try:
+        return common_destabilization(k, a, b)
+    except NotAdjacent:
+        return None
+
+
+@pytest.mark.parametrize("k", GRID, ids=str)
+def test_against_cone_scan(k):
+    top, a = max_tb(k), abs(k.p)
+    for tb in range(top - 8, top + 3):
+        for rot in range(-a - 6, a + 7):
+            assert realizable(k, tb, rot) == cone_scan_realizable(k, tb, rot), (tb, rot)
+    assert max_sl(k) == cone_scan_max_sl(k)
+    if k.kind != "torus" or k.p > 0:
+        with pytest.raises(Unsupported):
+            common_destabilization(k, Peak(top, 0), Peak(top, 0))
+        return
+    listed = listed_peaks(k)
+    candidates = listed + [Peak(top, listed[0].rot + 2), Peak(top - 1, listed[0].rot)]
+    for x in candidates:
+        for y in candidates:
+            assert _valley(k, x, y) == cone_scan_valley(k, x, y), (x, y)
+
+
+@st.composite
+def _negative_torus(draw):
+    q = draw(st.integers(2, 40))
+    a = draw(st.integers(q + 1, 10**9).filter(lambda a: gcd(a, q) == 1))
+    return torus(-a, q)
+
+
+def _replay(start: LegendrianClass, plus: int, minus: int) -> LegendrianClass:
+    c = start
+    for sign, n in ((Sign.PLUS, plus), (Sign.MINUS, minus)):
+        for _ in range(n):
+            c = stabilize_class(c, sign)  # each step re-checks realizability
+    return c
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(_negative_torus(), st.data())
+def test_replayed_witnesses_for_huge_p(k, data):
+    a, q = -k.p, k.q
+    m, e = divmod(a, q)
+    i = data.draw(st.integers(0, m - 1))
+    sign = data.draw(st.sampled_from((1, -1)))
+    rot = sign * (a - q - 2 * q * i)
+    plus, minus = data.draw(st.integers(0, 30)), data.draw(st.integers(0, 30))
+    peak = LegendrianClass(k, a * -q, rot)
+    c = _replay(peak, plus, minus)
+    assert realizable(k, c.tb, c.rot)
+    assert not realizable(k, c.tb, c.rot + 1)  # wrong parity
+    assert not realizable(k, -a * q + 1, rot)  # above max tb
+    assert max_sl(k) == -a * q + a - q
+    assert is_realizable_sl(k, max_sl(k)) and not is_realizable_sl(k, max_sl(k) + 2)
+    # the peak 2e below a peak of the upper progression is its neighbour;
+    # their cones meet after e stabilizations of each
+    hi = a - q - 2 * q * i
+    lo = -(a - q - 2 * q * (m - 1 - i))
+    assert hi - lo == 2 * e
+    valley = _replay(LegendrianClass(k, -a * q, hi), 0, e)
+    assert valley == _replay(LegendrianClass(k, -a * q, lo), e, 0)
+    assert common_destabilization(k, Peak(-a * q, hi), Peak(-a * q, lo)) == (
+        valley.tb, valley.rot
+    )
+    if i + 1 < m:  # two peaks of one progression have a peak between them
+        with pytest.raises(NotAdjacent):
+            common_destabilization(k, Peak(-a * q, hi), Peak(-a * q, hi - 2 * q))
+
+
+def test_point_queries_never_enumerate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated the peaks")
+
+    monkeypatch.setattr(classify, "peaks", refuse)
+    monkeypatch.setattr(classify, "peak_rotations", refuse)
+    monkeypatch.setattr(transversal, "peaks", refuse, raising=False)
+    k = torus(-1000000001, 3)
+    top = -3000000003
+    assert realizable(k, top - 2, 999999998)
+    assert not realizable(k, top, 0)
+    LegendrianClass(k, top, -999999998)
+    assert max_sl(k) == top + 999999998
+    assert common_destabilization(k, Peak(top, 999999998), Peak(top, 999999994)) == (
+        top - 2, 999999996
+    )
+    with pytest.raises(NotAdjacent):
+        common_destabilization(k, Peak(top, 999999998), Peak(top, 999999992))
+
+
+def test_enumerations_refuse_huge_outputs():
+    k = torus(-1000000001, 3)
+    with pytest.raises(Unsupported):
+        peaks(k)
+    with pytest.raises(Unsupported):
+        peak_rotations(k)
+    with pytest.raises(Unsupported):
+        mountain_range(unknot(), 10**9)
+    with pytest.raises(Unsupported):  # the bound #peaks * (depth + 1)^2 is 1001^2
+        mountain_range(unknot(), 1000)
+    with pytest.raises(Unsupported):  # 2 * (MAX_ROWS // 2 + 1) peaks
+        peak_rotations(torus(-(3 * (MAX_ROWS // 2 + 1) + 1), 3))

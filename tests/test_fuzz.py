@@ -3,15 +3,19 @@
 Inputs mix arbitrary text with near-valid specs built from each parser's
 grammar, so that both the rejection paths and the accepted results are
 exercised.  Every accepted front is also checked against the definitions
-of its invariants.
+of its invariants, and every integer any parser accepts is written in
+ASCII decimal digits with an optional '-'.
 """
 
+import re
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legknot.bypass import make_config
 from legknot.classify import parse_knot
-from legknot.errors import LegknotError
+from legknot.errors import LegknotError, decimal
 from legknot.front import invariants, parse_front
 from legknot.lattice import parse_slope
 from legknot.transversal import parse_cables
@@ -20,7 +24,44 @@ FUZZ = settings(database=None, derandomize=True, deadline=None)
 
 _ints = st.integers(min_value=-12, max_value=12).map(str)
 _junk = st.text(alphabet="0123456789-+/x:,;c .#\nLRXIinf", max_size=12)
-_numbers = st.one_of(_ints, _junk, st.sampled_from(["", " ", "1" * 5000, "-0", "+3", "٣"]))
+_numbers = st.one_of(_ints, _junk, st.sampled_from(
+    ["", " ", "1" * 5000, "-0", "+3", "٣", "1_0", "-١٢", "３", "²", " 7 ", "--1"]
+))
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _is_decimal(text):
+    return _DECIMAL.fullmatch(text.strip()) is not None
+
+
+@FUZZ
+@given(st.one_of(_numbers, st.text(max_size=8)))
+def test_decimal(text):
+    try:
+        value = decimal(text)
+    except ValueError:
+        assert not _is_decimal(text) or len(text.strip().lstrip("-")) > 4300
+        return
+    assert _is_decimal(text) and value == int(text)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_knot, "torus:-٧,٣"),
+    (parse_knot, "torus:+7,3"),
+    (parse_knot, "torus:-7_0,3"),
+    (parse_slope, "١/٢"),
+    (parse_slope, "+1"),
+    (parse_slope, "1/1_0"),
+    (make_config, "III:١,٢,inf"),
+    (make_config, "I:infx٣+1c"),
+    (parse_front, "L ١\nR ١\n"),
+    (parse_front, "L +1\nR 1\n"),
+    (parse_cables, "٣,٢"),
+    (parse_cables, "3,+2"),
+])
+def test_integers_outside_the_grammar_rejected(parse, text):
+    with pytest.raises(LegknotError):
+        parse(text)
 
 
 @st.composite
@@ -54,6 +95,9 @@ def _check_front(data):
         d = parse_front(data)
     except LegknotError:
         return
+    text = data.decode() if isinstance(data, bytes) else data
+    body = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    assert all(_is_decimal(words[1]) for words in body if words)
     inv = invariants(d)
     assert inv.tb == inv.writhe - inv.right_cusps
     assert inv.down_cusps + inv.up_cusps == 2 * inv.right_cusps  # as many left cusps
@@ -98,6 +142,15 @@ def _only_legknot_errors(parse, text):
         pass
 
 
+def _only_decimals_accepted(parse, text, tokens):
+    """A parse of text that succeeds read every integer token as ASCII decimal."""
+    try:
+        parse(text)
+    except LegknotError:
+        return
+    assert all(_is_decimal(t) for t in tokens), text
+
+
 @FUZZ
 @given(_configs)
 def test_make_config(spec):
@@ -112,12 +165,16 @@ def test_make_config(spec):
 ))
 def test_parse_knot(text):
     _only_legknot_errors(parse_knot, text)
+    if text.startswith("torus:") and text.count(",") == 1:
+        _only_decimals_accepted(parse_knot, text, text[len("torus:"):].split(","))
 
 
 @FUZZ
 @given(st.one_of(st.text(max_size=20), _slopes))
 def test_parse_slope(text):
     _only_legknot_errors(parse_slope, text)
+    if text.strip() != "inf":
+        _only_decimals_accepted(parse_slope, text, text.split("/"))
 
 
 @FUZZ
@@ -129,3 +186,4 @@ def test_parse_slope(text):
 ))
 def test_parse_cables(text):
     _only_legknot_errors(parse_cables, text)
+    _only_decimals_accepted(parse_cables, text, re.split("[,;]", text))
