@@ -6,8 +6,8 @@ projections, decides Legendrian and transversal isotopy for unknots,
 torus knots, and figure-eight knots, and implements the Farey-
 tessellation and bypass-move machinery behind those decisions: exact
 slope arithmetic, negative continued fractions, tight solid-torus
-counts, disk dividing-set enumeration, and the normalization state
-machine on the punctured-torus fiber.
+counts, disk rotation sets, and the normalization state machine on the
+punctured-torus fiber.
 """
 
 from .classify import (

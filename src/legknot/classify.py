@@ -22,21 +22,22 @@ not divide |p|.  Point queries (realizability, the peak test, adjacency,
 maximal self-linking) are O(1) arithmetic on (top, count, step).
 
 The valleys of a negative torus knot are the first meeting points of
-adjacent peak cones.  With |p| = mq + e and 0 < e < q, the sorted peak
-rotations alternate gaps 2e and 2(q - e), both below 2q.  Two peaks
-that are not neighbours span at least two consecutive gaps, one of each
-kind, so at least 2q.  Two distinct peaks are therefore adjacent exactly
-when their rotations differ by less than 2q.
+adjacent peak cones.  With |p| = mq + e and 0 < e < q, the 2m sorted peak
+rotations alternate m gaps of 2e and m - 1 gaps of 2(q - e), both below
+2q.  Two peaks that are not neighbours span at least two consecutive
+gaps, one of each kind, so at least 2q.  Two distinct peaks are
+therefore adjacent exactly when their rotations differ by less than 2q.
 
 The enumerations (peaks, peak_rotations, mountain_range) are large by
-nature, so they check a bound on their output before building it and
-raise Unsupported when it exceeds MAX_ROWS rows.
+nature, so they count their output exactly before building it and raise
+Unsupported when it exceeds MAX_ROWS rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from math import gcd
 
 from .errors import InvalidKnot, NotAdjacent, Unrealizable, Unsupported, decimal
@@ -256,17 +257,35 @@ class MountainRange:
     pairs: frozenset[tuple[int, int]]
 
 
+def _range_rows(k: KnotType, depth: int) -> int:
+    """len(mountain_range(k, depth).pairs) in O(1).  At depth d, a peak 2g
+    above its lower neighbour adds min(d + 1, g) rotations to that cone."""
+    n = depth + 1
+
+    def cone(g: int) -> int:  # sum over d = 0..depth of min(d + 1, g)
+        g = min(g, n)
+        return g * (2 * n - g + 1) // 2
+
+    rows = cone(n)  # the lowest peak's whole cone
+    if k.kind == "torus" and k.p < 0:
+        m, e = divmod(-k.p, k.q)
+        rows += m * cone(e) + (m - 1) * cone(k.q - e)
+    return rows
+
+
 def mountain_range(k: KnotType, depth: int) -> MountainRange:
     if depth < 0:
         raise Unsupported("depth must be non-negative")
-    top_rot, count, _ = _progression(k)
-    _check_rows(k, (2 * count if top_rot else 1) * (depth + 1) ** 2)
+    _check_rows(k, _range_rows(k, depth))
     top = max_tb(k)
-    pairs = set()
-    for peak in peaks(k):
-        for d in range(depth + 1):
-            for r in range(peak.rot - d, peak.rot + d + 1, 2):
-                pairs.add((top - d, r))
+    rots = sorted(peak_rotations(k))
+    pairs = []
+    for d in range(depth + 1):
+        row, lo = [], rots[0] - d  # lo: the least rotation at depth d not yet listed
+        for r in rots:
+            row += range(max(r - d, lo), r + d + 1, 2)
+            lo = r + d + 2
+        pairs += zip(repeat(top - d), row)
     return MountainRange(k, depth, frozenset(pairs))
 
 

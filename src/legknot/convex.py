@@ -10,8 +10,8 @@ Three separate pieces of machinery live here:
 * Rotation numbers from dividing sets on a disk.  A disk whose boundary
   has tb = -m carries m disjoint boundary-to-boundary chords; the regions
   between them are 2-colored, and the rotation number is the signed
-  region count chi(S+) - chi(S-).  Enumerating all non-crossing chord
-  diagrams with both colorings realizes exactly {m-1, m-3, ..., 1-m}.
+  region count chi(S+) - chi(S-).  Over all non-crossing chord diagrams
+  and both colorings these are exactly {m-1, m-3, ..., 1-m}.
 
 * Tight-structure counts on solid tori.  With (r0, ..., rk) the negative
   continued fraction of -p/q, the number of tight structures with two
@@ -22,7 +22,6 @@ Three separate pieces of machinery live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import Unsupported, ZeroIntersection
 from .lattice import IntegralVector, Slope, farey_det, neg_cf, reduce_slope
@@ -30,7 +29,6 @@ from .lattice import IntegralVector, Slope, farey_det, neg_cf, reduce_slope
 __all__ = [
     "TorusDividingSet",
     "DiskChordDiagram",
-    "noncrossing_matchings",
     "twist_from_dividing",
     "torus_tb",
     "disk_rotation_set",
@@ -123,39 +121,17 @@ class DiskChordDiagram:
         return plus - minus
 
 
-def noncrossing_matchings(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All non-crossing perfect matchings of 2m points (Catalan recursion)."""
-    points = tuple(range(2 * m))
-
-    def rec(pts):
-        if not pts:
-            yield ()
-            return
-        first = pts[0]
-        for j in range(1, len(pts), 2):
-            inside, outside = pts[1:j], pts[j + 1:]
-            for left in rec(inside):
-                for right in rec(outside):
-                    yield ((first, pts[j]),) + left + right
-
-    yield from rec(points)
-
-
 def disk_rotation_set(m: int) -> set[int]:
-    """Rotation numbers of a tb = -m disk boundary, by brute enumeration.
+    """Rotation numbers of a tb = -m disk boundary: {m-1, m-3, ..., 1-m}.
 
-    Runs over all non-crossing m-chord diagrams and both global sign
-    choices.  The result always equals {m-1, m-3, ..., 1-m}; that closed
-    form is asserted by the tests, not assumed here.
+    The m chords cut the disk into m + 1 disk regions of both colors, so the
+    signed count is 2 * (positive regions) - (m + 1), and each of 1 to m
+    positive regions occurs (Honda, On the classification of tight contact
+    structures I).
     """
     if m < 1:
         raise Unsupported("need at least one chord")
-    out = set()
-    for matching in noncrossing_matchings(m):
-        r = DiskChordDiagram(m, matching).rotation()
-        out.add(r)
-        out.add(-r)
-    return out
+    return set(range(1 - m, m, 2))
 
 
 def tight_count(p: int, q: int) -> int:

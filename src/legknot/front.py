@@ -216,27 +216,32 @@ def stabilize_diagram(
     """Insert a zigzag on an existing strand; tb drops by 1, rot moves by sign.
 
     The hint names an insertion point: ``gap`` events come before it and
-    ``level`` is a strand position alive there.  Both zigzag patterns are
-    tried and the one matching the requested sign is kept.
+    ``level`` is a strand position alive there.  [L level+1, R level] moves
+    rot by the strand's direction (+1 rightward), [L level, R level+1] by
+    its negative; the direction picks the pattern that realizes the sign.
     """
     if not 0 <= gap <= len(d.events):
         raise NoSuchStrand("gap %d out of range 0..%d" % (gap, len(d.events)))
-    n = d.strand_profile()[gap]
-    if not 1 <= level <= n:
-        raise NoSuchStrand("no strand at level %d (have %d)" % (level, n))
-    base = invariants(d)
-    head, tail = list(d.events[:gap]), list(d.events[gap:])
-    for pattern in (
-        [FrontEvent("L", level + 1), FrontEvent("R", level)],
-        [FrontEvent("L", level), FrontEvent("R", level + 1)],
-    ):
-        candidate = FrontDiagram(head + pattern + tail)
-        got = invariants(candidate)
-        if got.tb == base.tb - 1 and got.rot == base.rot + sign.value:
-            return candidate
-    raise NoSuchStrand(
-        "no zigzag at gap %d level %d realizes sign %s" % (gap, level, sign.name)
-    )
+    # Replays the prefix apart from _build on purpose: sharing _build's loop
+    # would add a branch per event to every front that is read.
+    active: list[int] = []
+    sid = 0
+    for ev in d.events[:gap]:
+        i = ev.level - 1
+        if ev.kind == "L":
+            active[i:i] = [sid, sid + 1]
+            sid += 2
+        elif ev.kind == "R":
+            del active[i:i + 2]
+        else:
+            active[i], active[i + 1] = active[i + 1], active[i]
+    if not 1 <= level <= len(active):
+        raise NoSuchStrand("no strand at level %d (have %d)" % (level, len(active)))
+    if d._direction[active[level - 1]] == sign.value:
+        zigzag = (FrontEvent("L", level + 1), FrontEvent("R", level))
+    else:
+        zigzag = (FrontEvent("L", level), FrontEvent("R", level + 1))
+    return FrontDiagram(d.events[:gap] + zigzag + d.events[gap:])
 
 
 def bennequin_compatible(inv: FrontInvariants, knot: classify.KnotType) -> bool:

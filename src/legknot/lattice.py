@@ -262,16 +262,15 @@ def cmp_fixed(s: Slope) -> FixedPointSide:
     """Side of s relative to the attracting fixed slope p of the monodromy.
 
     p is the positive root of s^2 + s - 1, so for s = n/d > 0 the side is
-    the sign of n^2 + n*d - d^2 (never zero on rationals); slopes <= 0
-    sit below p, and inf sits above.
+    the sign of n^2 + n*d - d^2, never zero because (2n + d)^2 = 5d^2 has
+    no integer solution with d != 0; slopes <= 0 sit below p, and inf
+    sits above.
     """
     if s.is_inf:
         return FixedPointSide.ABOVE
     if s.num <= 0:
         return FixedPointSide.BELOW
     disc = s.num * s.num + s.num * s.den - s.den * s.den
-    if disc == 0:  # would make the fixed slope rational
-        raise InvalidSlope("slope %s coincides with the irrational fixed point" % s)
     return FixedPointSide.ABOVE if disc > 0 else FixedPointSide.BELOW
 
 

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it is used to check:
 colorings come from the diagram's crossing relations, tight-structure
 counts from shortest paths in the Farey graph, triangle enumeration
-from raw mediant subdivision, and realizability from a scan over every
-peak's stabilization cone.
+from raw mediant subdivision, realizability from a scan over every
+peak's stabilization cone, and disk rotation sets from every
+non-crossing chord diagram.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import random
 from math import gcd
 
 from legknot.classify import KnotType, Peak, Sign, max_tb
+from legknot.convex import DiskChordDiagram
 from legknot.front import FrontDiagram, FrontEvent, invariants, parse_front, stabilize_diagram
 from legknot.lattice import (
     INF,
@@ -88,6 +90,17 @@ def cone_scan_realizable(k: KnotType, tb: int, rot: int) -> bool:
     return any(rot in _cone(peak, tb) for peak in listed_peaks(k))
 
 
+def cone_scan_range(k: KnotType, depth: int) -> set[tuple[int, int]]:
+    """Every (tb, rot) within depth of the top, from each listed peak's cone."""
+    top = max_tb(k)
+    return {
+        (tb, rot)
+        for peak in listed_peaks(k)
+        for tb in range(top - depth, top + 1)
+        for rot in _cone(peak, tb)
+    }
+
+
 def cone_scan_max_sl(k: KnotType) -> int:
     return max(peak.tb + peak.rot for peak in listed_peaks(k))
 
@@ -105,6 +118,32 @@ def cone_scan_valley(k: KnotType, a: Peak, b: Peak):
         tb -= 1
     (rot,) = _cone(a, tb) & _cone(b, tb)
     return (tb, rot)
+
+
+def noncrossing_matchings(m: int):
+    """All non-crossing perfect matchings of 2m points (Catalan recursion)."""
+
+    def rec(pts):
+        if not pts:
+            yield ()
+            return
+        first = pts[0]
+        for j in range(1, len(pts), 2):
+            inside, outside = pts[1:j], pts[j + 1:]
+            for left in rec(inside):
+                for right in rec(outside):
+                    yield ((first, pts[j]),) + left + right
+
+    yield from rec(tuple(range(2 * m)))
+
+
+def enumerated_disk_rotations(m: int) -> set[int]:
+    """Rotations of every m-chord disk diagram under both colorings."""
+    return {
+        DiskChordDiagram(m, matching, root_positive).rotation()
+        for matching in noncrossing_matchings(m)
+        for root_positive in (True, False)
+    }
 
 
 def _neighbors_in_window(s: Slope, p: int, q: int) -> list[Slope]:

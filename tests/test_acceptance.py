@@ -14,6 +14,7 @@ from helpers import (
     STABILIZED_UNKNOT_WORD,
     TIGHT_TRIANGLE,
     TREFOIL_WORD,
+    enumerated_disk_rotations,
     farey_triangles_to_depth,
     random_hints,
     random_valid_diagrams,
@@ -202,9 +203,9 @@ def test_criterion_09_farey_and_tight_counts():
 
 
 def test_criterion_10_disk_chord_oracle():
-    for m in range(1, 9):
-        assert disk_rotation_set(m) == set(range(m - 1, -m, -2))
-    report(10, "disk rotation sets equal {m-1, ..., 1-m} for m <= 8")
+    for m in range(1, 10):
+        assert disk_rotation_set(m) == enumerated_disk_rotations(m)
+    report(10, "disk rotation sets equal the chord-diagram enumeration for m <= 9")
 
 
 def test_criterion_11_bypass_engine():

@@ -250,6 +250,10 @@ class TestHugeKnots:
             code, out = run(capsys, *argv)
             assert code == 1 and out == "", argv
 
+    def test_range_capped_by_its_rows(self, capsys):
+        code, out = run(capsys, "range", "--knot", "torus:-100001,3", "--depth", "3")
+        assert code == 0 and out.count("\n") == 366_669
+
     def test_point_queries_answer(self, capsys):
         p, q = -1000000001, 3
         top, peak = p * q, -p - q

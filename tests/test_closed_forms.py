@@ -4,7 +4,8 @@
 progression without listing the peaks.  Here they are compared with a
 scan over every listed peak's cone on a grid of small knot types, with
 classes reached by replaying stabilizations from a peak for |p| up to
-10^9, and run with the enumerations disabled.
+10^9, and run with the enumerations disabled.  The row count that caps
+`mountain_range` is checked against the same cones.
 """
 
 from math import gcd
@@ -13,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cone_scan_max_sl, cone_scan_realizable, cone_scan_valley, listed_peaks
+from helpers import (
+    cone_scan_max_sl,
+    cone_scan_range,
+    cone_scan_realizable,
+    cone_scan_valley,
+    listed_peaks,
+)
 from legknot import classify, transversal
 from legknot.classify import (
     MAX_ROWS,
@@ -142,7 +149,22 @@ def test_enumerations_refuse_huge_outputs():
         peak_rotations(k)
     with pytest.raises(Unsupported):
         mountain_range(unknot(), 10**9)
-    with pytest.raises(Unsupported):  # the bound #peaks * (depth + 1)^2 is 1001^2
-        mountain_range(unknot(), 1000)
+    with pytest.raises(Unsupported):  # 1414 * 1415 / 2 = 1,000,405 rows
+        mountain_range(unknot(), 1413)
     with pytest.raises(Unsupported):  # 2 * (MAX_ROWS // 2 + 1) peaks
         peak_rotations(torus(-(3 * (MAX_ROWS // 2 + 1) + 1), 3))
+
+
+@pytest.mark.parametrize("k", GRID, ids=str)
+def test_range_rows_count_the_cones(k):
+    for depth in range(7):
+        pairs = cone_scan_range(k, depth)
+        assert mountain_range(k, depth).pairs == pairs
+        assert classify._range_rows(k, depth) == len(pairs), depth
+
+
+def test_range_cap_counts_rows_exactly():
+    assert classify._range_rows(unknot(), 1412) == 998_991 <= MAX_ROWS
+    assert classify._range_rows(unknot(), 1413) == 1_000_405 > MAX_ROWS
+    # the cones of its 66,666 peaks overlap: #peaks * (depth + 1)^2 is 1,066,656
+    assert len(mountain_range(torus(-100001, 3), 3).pairs) == 366_669

@@ -2,12 +2,11 @@ from math import gcd
 
 import pytest
 
-from helpers import tight_count_by_paths
+from helpers import enumerated_disk_rotations, noncrossing_matchings, tight_count_by_paths
 from legknot.convex import (
     DiskChordDiagram,
     TorusDividingSet,
     disk_rotation_set,
-    noncrossing_matchings,
     tight_count,
     torus_bypass_step,
     torus_tb,
@@ -86,12 +85,15 @@ class TestDiskDiagrams:
         assert disk_rotation_set(3) == {-2, 0, 2}
 
     def test_closed_form_and_symmetry(self):
-        for m in range(1, 9):
-            expected = set(range(m - 1, -m, -2))
+        for m in range(1, 10):
             got = disk_rotation_set(m)
-            assert got == expected
+            assert got == enumerated_disk_rotations(m)
             assert got == {-r for r in got}
             assert len(got) == m
+
+    def test_no_chords_refused(self):
+        with pytest.raises(Unsupported):
+            disk_rotation_set(0)
 
 
 class TestTightCount:

@@ -10,6 +10,7 @@ from helpers import (
     random_valid_diagrams,
     three_colorings,
 )
+from legknot import front
 from legknot.classify import Sign, torus, unknot
 from legknot.errors import FrontSyntaxError, MultiComponent, NoSuchStrand
 from legknot.front import (
@@ -136,6 +137,37 @@ class TestStabilization:
             pm = invariants(stabilize_diagram(plus, Sign.MINUS, *random_hints(plus, rng)))
             mp = invariants(stabilize_diagram(minus, Sign.PLUS, *random_hints(minus, rng)))
             assert (pm.tb, pm.rot) == (mp.tb, mp.rot) == (base.tb - 2, base.rot)
+
+    def test_every_hint_and_sign(self):
+        for d in random_valid_diagrams(40):
+            base = invariants(d)
+            for gap, n in enumerate(d.strand_profile()):
+                for level in range(1, n + 1):
+                    for sign in Sign:
+                        s = stabilize_diagram(d, sign, gap, level)
+                        assert len(s.events) == len(d.events) + 2
+                        inv = invariants(s)
+                        assert (inv.tb, inv.rot) == (base.tb - 1, base.rot + sign.value)
+                        rev = invariants(s, reverse_orientation=True)
+                        assert rev.rot == -inv.rot
+
+    def test_builds_one_diagram(self, monkeypatch):
+        diagrams = random_valid_diagrams(20, seed=5)
+        builds = []
+
+        class CountingDiagram(FrontDiagram):
+            def __init__(self, events):
+                builds.append(events)
+                super().__init__(events)
+
+        monkeypatch.setattr(front, "FrontDiagram", CountingDiagram)
+        rng = random.Random(3)
+        for d in diagrams:
+            gap, level = random_hints(d, rng)
+            for sign in Sign:
+                builds.clear()
+                stabilize_diagram(d, sign, gap, level)
+                assert len(builds) == 1
 
     def test_bad_hints(self):
         d = parse_front("L 1\nR 1")

@@ -3,8 +3,8 @@
 Inputs mix arbitrary text with near-valid specs built from each parser's
 grammar, so that both the rejection paths and the accepted results are
 exercised.  Every accepted front is also checked against the definitions
-of its invariants, and every integer any parser accepts is written in
-ASCII decimal digits with an optional '-'.
+of its invariants and stabilized at a drawn hint, and every integer any
+parser accepts is written in ASCII decimal digits with an optional '-'.
 """
 
 import re
@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legknot.bypass import make_config
-from legknot.classify import parse_knot
-from legknot.errors import LegknotError, decimal
-from legknot.front import invariants, parse_front
+from legknot.classify import Sign, parse_knot
+from legknot.errors import LegknotError, NoSuchStrand, decimal
+from legknot.front import invariants, parse_front, stabilize_diagram
 from legknot.lattice import parse_slope
 from legknot.transversal import parse_cables
 
@@ -90,7 +90,11 @@ _front_bytes = st.one_of(
 )
 
 
-def _check_front(data):
+# (sign, gap, level) stabilization hints, in and out of range
+_hints = st.tuples(st.sampled_from(Sign), st.integers(-1, 12), st.integers(0, 4))
+
+
+def _check_front(data, hint):
     try:
         d = parse_front(data)
     except LegknotError:
@@ -103,18 +107,27 @@ def _check_front(data):
     assert inv.down_cusps + inv.up_cusps == 2 * inv.right_cusps  # as many left cusps
     rev = invariants(d, reverse_orientation=True)
     assert (rev.tb, rev.rot) == (inv.tb, -inv.rot)
+    sign, gap, level = hint
+    try:
+        s = stabilize_diagram(d, sign, gap, level)
+    except NoSuchStrand:
+        assert not (0 <= gap <= len(d.events) and 1 <= level <= d.strand_profile()[gap])
+        return
+    got = invariants(s)
+    assert len(s.events) == len(d.events) + 2
+    assert (got.tb, got.rot) == (inv.tb - 1, inv.rot + sign.value)
 
 
 @FUZZ
-@given(_fronts)
-def test_parse_front_text(text):
-    _check_front(text)
+@given(_fronts, _hints)
+def test_parse_front_text(text, hint):
+    _check_front(text, hint)
 
 
 @FUZZ
-@given(_front_bytes)
-def test_parse_front_bytes(data):
-    _check_front(data)
+@given(_front_bytes, _hints)
+def test_parse_front_bytes(data, hint):
+    _check_front(data, hint)
 
 
 _slopes = st.one_of(
