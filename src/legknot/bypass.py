@@ -17,14 +17,12 @@ configuration toward one of two terminal orbits:
 
 Both fixed slopes of M are irrational, so every orbit has exactly one
 representative in a canonical window.  Applying M moves every slope into
-[0, inf]; applying M^-1 then moves the slopes out toward the repelling
-fixed slope until they land in the window:
-
-* every slope above the attracting fixed slope: minimum in [1, inf];
-* every slope below it: maximum in [0, 1/2];
-* slopes on both sides: minimum 0.  The triangles straddling the fixed
-  slope form one chain crossed by its axis, and the window leaves only
-  {0, 1, inf} and the gateway triangle {0, 1/2, 1}.
+[0, inf], and M maps [0, inf] onto [1/2, 1]; applying M^-1 then moves the
+slopes out toward the repelling fixed slope, and the representative is
+the first image whose middle slope is not strictly between 1/2 and 1.  A
+one-class configuration has its slope as middle slope.  No Farey edge
+crosses 1/2 or 1 except (0, 1) and (0, inf), so a triangle's middle slope
+leaves (1/2, 1) exactly when the triangle leaves [1/2, 1].
 
 A triangle is terminal exactly when its representative is {1, 2, inf}
 or {0, 1, inf}, and the moves are the transitions forced on the
@@ -36,6 +34,12 @@ with more than three arcs always admit a bypass that produces a
 boundary-parallel dividing curve, i.e. a destabilization of the boundary
 knot; those are reported as destabilizing moves rather than state
 transitions.
+
+Each flip climbs one Farey level, so the move count is known before the
+first move.  With D the largest Farey depth among the slopes of the
+representative, a triangle takes D moves, one fewer when its minimum is
+at least 1; a one-class configuration takes one move more than the
+triangle it expands to; and reducing extra closed curves adds one.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .classify import MAX_ROWS
 from .errors import (
     IllegalMove,
     NonTermination,
@@ -57,9 +62,7 @@ from .lattice import (
     INF,
     ONE,
     ZERO,
-    FixedPointSide,
     Slope,
-    cmp_fixed,
     farey_depth,
     farey_parents,
     is_farey_edge,
@@ -282,13 +285,7 @@ def _canonical(slopes) -> tuple[int, tuple[Slope, ...]]:
     while current[0].num < 0:  # inf is 1/0, so this reads "not in [0, inf]"
         current = tuple(sorted(monodromy_apply(s, 1) for s in current))
         shift += 1
-    if cmp_fixed(current[0]) is FixedPointSide.ABOVE:
-        outside = lambda t: t[0] < ONE
-    elif cmp_fixed(current[-1]) is FixedPointSide.BELOW:
-        outside = lambda t: t[-1] > _HALF
-    else:
-        outside = lambda t: t[0] > ZERO
-    while outside(current):
+    while _HALF < current[len(current) // 2] < ONE:
         current = tuple(sorted(monodromy_apply(s, -1) for s in current))
         shift -= 1
     return shift, current
@@ -319,13 +316,14 @@ def _flip(tri):
 
 
 def _expand(slope: Slope):
-    """Triangle produced by the one legal bypass on a one-class config."""
+    """Triangle produced by the one legal bypass on a one-class config
+    whose slope is its canonical representative."""
     if slope == ZERO:
         return _OVERTWISTED_TRIANGLE
     if slope == ONE or slope.is_inf:
         return _TIGHT_TRIANGLE
     left, right = farey_parents(slope)
-    anchor = right if cmp_fixed(slope) is FixedPointSide.BELOW else left
+    anchor = right if slope < ONE else left  # below the fixed slope
     other = slope_of_vector(slope.vector() - anchor.vector())
     return anchor, slope, other
 
@@ -358,16 +356,21 @@ def _analyze3(c: DividingConfig):
     )
 
 
+def _has_transitions(c: DividingConfig) -> bool:
+    """Whether c admits transitions: three arcs, and one closed curve for type I."""
+    return c.arcs() == 3 and (c.kind is not ConfigKind.I or c.closed == 1)
+
+
 def legal_moves(c: DividingConfig) -> list[Move]:
     """Non-destabilizing transitions available from this configuration.
 
     Configurations with more than three arcs have none: every available
     bypass there produces a boundary-parallel dividing curve and is
-    reported by :func:`destabilizing_moves` instead.
+    reported by :func:`destabilizing_moves` instead.  Nor has a one-class
+    configuration with more than one closed curve, which
+    :func:`normalize` first reduces to one.
     """
-    if c.arcs() != 3:
-        return []
-    if c.kind is ConfigKind.I and c.closed != 1:
+    if not _has_transitions(c):
         return []
     return [move for move, _ in _analyze3(c)[1]]
 
@@ -398,8 +401,8 @@ def apply_move(c: DividingConfig, move) -> DividingConfig | DestabilizationFound
         if move not in destabilizing_moves(c):
             raise IllegalMove("%r is not a destabilizing move of %s" % (move, c))
         return DestabilizationFound(move, c.arcs(), c.arcs() - 2)
-    if c.arcs() != 3:
-        raise IllegalMove("no transitions on configurations with %d arcs" % c.arcs())
+    if not _has_transitions(c):
+        raise IllegalMove("no transitions on %s" % c)
     for candidate, result in _analyze3(c)[1]:
         if candidate == move:
             return result
@@ -419,11 +422,6 @@ class NormalizationOutcome:
     steps: int
 
 
-def _default_limit(c: DividingConfig) -> int:
-    depth = max(farey_depth(s) for s in c.slopes)
-    return max(64, 10 * (depth + 2) ** 2)
-
-
 def _move_line(move: Move, before: DividingConfig, after: DividingConfig) -> str:
     before_s = ",".join(str(s) for s in before.slopes)
     after_s = ",".join(str(s) for s in after.slopes)
@@ -436,24 +434,33 @@ def _destabilization(c: DividingConfig) -> NormalizationOutcome:
     return NormalizationOutcome(OutcomeKind.DESTABILIZES, (line,), 1)
 
 
+def _move_count(rep) -> int:
+    """Moves from a three-arc configuration with canonical representative
+    rep to its terminal form; each flip climbs one Farey level."""
+    if len(rep) == 1:  # one arc class expands to a triangle first
+        return 1 + _move_count(_canonical(_expand(rep[0]))[1])
+    return max(farey_depth(s) for s in rep) - (rep[0] >= ONE)
+
+
 def normalize(c: DividingConfig, step_limit: int | None = None) -> NormalizationOutcome:
     """Drive a configuration to its terminal form in at most ``step_limit`` moves.
 
     Three-arc configurations end in the standard tight orbit {1, 2, inf}
     or the overtwisted orbit {0, 1, inf}; anything with more arcs
     destabilizes in one move.  The move order is deterministic (triangle
-    transitions are preferred over collapses), and needing more moves
-    than the limit raises NonTermination, which indicates a bug rather
-    than a mathematical outcome.  A negative limit is Unsupported.
+    transitions are preferred over collapses).  The move count is known
+    before the first move: a limit below it raises NonTermination, and a
+    count above classify.MAX_ROWS is Unsupported, both before any move is
+    taken.  A walk that disagrees with its count raises NonTermination
+    too, which indicates a bug rather than a mathematical outcome.  A
+    negative limit is Unsupported.
     """
-    if step_limit is None:
-        step_limit = _default_limit(c)
-    if step_limit < 0:
+    if step_limit is not None and step_limit < 0:
         raise Unsupported("step limit must be non-negative, got %d" % step_limit)
     if c.arcs() > 3:
-        if step_limit >= 1:
-            return _destabilization(c)
-        raise NonTermination("no terminal form within 0 steps")
+        if step_limit == 0:
+            raise NonTermination("no terminal form within 0 steps: destabilizing takes 1")
+        return _destabilization(c)
     if c.arcs() != 3:
         raise Unsupported("verdicts are defined for three-arc configurations")
 
@@ -463,20 +470,28 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
         # closed-curve pairs are absorbed before the arc analysis
         trace.append("ReduceClosed %dc->1c" % current.closed)
         current = type_i(current.slopes[0], current.mults[0], 1)
+    shift, rep = _canonical(current.slopes)
+    count = len(trace) + _move_count(rep)
+    if step_limit is not None and step_limit < count:
+        raise NonTermination(
+            "no terminal form within %d steps: %s takes %d" % (step_limit, c, count)
+        )
+    if count > MAX_ROWS:
+        raise Unsupported("%s takes %d moves, more than the cap of %d" % (c, count, MAX_ROWS))
 
     # step in the canonical frame, so each step's window search is short,
     # and map only the trace back to the input's frame
-    shift = _canonical(current.slopes)[0]
     frame = monodromy_config(current, shift)
-    while len(trace) <= step_limit:
-        terminal, moves = _analyze3(frame)
-        if terminal is not None:
-            return NormalizationOutcome(terminal, tuple(trace), len(trace))
+    terminal, moves = _analyze3(frame)
+    while terminal is None and len(trace) < count:
         move, frame = moves[0]
         result = monodromy_config(frame, -shift)
         trace.append(_move_line(move, current, result))
         current = result
-    raise NonTermination("no terminal form within %d steps" % step_limit)
+        terminal, moves = _analyze3(frame)
+    if terminal is None or len(trace) != count:
+        raise NonTermination("the walk from %s disagrees with its count of %d moves" % (c, count))
+    return NormalizationOutcome(terminal, tuple(trace), count)
 
 
 def find_destabilization(c: DividingConfig) -> NormalizationOutcome:

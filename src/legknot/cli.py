@@ -2,11 +2,11 @@
 
 Subcommands expose one computation each with line-oriented, byte-stable
 output.  Exit codes: 0 success, 1 invalid input, 2 valid query whose
-mathematical answer is negative (predicates only), 3 internal step limit
-exceeded.  A usage error is invalid input too (exit 1).  Each subparser
-names its handler; a handler returns its exit code and output text, and
-``main`` writes the text only after the handler returned, so exits 1 and
-3 leave stdout empty.
+mathematical answer is negative (predicates only), 3 a step limit below
+the exact move count.  A usage error is invalid input too (exit 1).  Each
+subparser names its handler; a handler returns its exit code and output
+text, and ``main`` writes the text only after the handler returned, so
+exits 1 and 3 leave stdout empty.
 """
 
 from __future__ import annotations

@@ -93,4 +93,4 @@ class IllegalMove(LegknotError):
 
 
 class NonTermination(LegknotError):
-    """Normalization step limit exceeded; indicates a bug, not a math result."""
+    """Step limit below a normalization's move count, or a walk off that count (a bug)."""

@@ -10,16 +10,14 @@ third vertex of each triangle carried by an edge.
 
 The monodromy of interest is the linear map (x, y) -> (2x + y, x + y),
 which on slopes reads s -> (1 + s)/(2 + s).  Its attracting fixed slope
-is the positive root of s^2 + s - 1.  That root is never materialized:
-comparisons against it go through the sign of n^2 + n*d - d^2 on the
-reduced fraction n/d.  Everything in this module is exact integer
-arithmetic; no floating point is used anywhere.
+is the positive root of s^2 + s - 1; it is irrational and never
+materialized.  Everything in this module is exact integer arithmetic; no
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import gcd
 
 from .errors import DegenerateEdge, InvalidFraction, InvalidSlope, decimal
@@ -27,7 +25,6 @@ from .errors import DegenerateEdge, InvalidFraction, InvalidSlope, decimal
 __all__ = [
     "IntegralVector",
     "Slope",
-    "FixedPointSide",
     "INF",
     "ZERO",
     "ONE",
@@ -42,7 +39,6 @@ __all__ = [
     "neg_cf",
     "monodromy_vec",
     "monodromy_apply",
-    "cmp_fixed",
     "slope_in_range",
     "farey_parents",
     "farey_depth",
@@ -125,13 +121,6 @@ class Slope:
 
     def __ge__(self, other):
         return self._cmp(other) >= 0
-
-
-class FixedPointSide(Enum):
-    """Position of a rational slope relative to the irrational fixed slope."""
-
-    BELOW = "below"
-    ABOVE = "above"
 
 
 INF = Slope(1, 0)
@@ -256,22 +245,6 @@ def monodromy_vec(v: IntegralVector, k: int = 1) -> IntegralVector:
 def monodromy_apply(s: Slope, k: int = 1) -> Slope:
     """Slope of the k-th monodromy power applied to the class of s."""
     return slope_of_vector(monodromy_vec(s.vector(), k))
-
-
-def cmp_fixed(s: Slope) -> FixedPointSide:
-    """Side of s relative to the attracting fixed slope p of the monodromy.
-
-    p is the positive root of s^2 + s - 1, so for s = n/d > 0 the side is
-    the sign of n^2 + n*d - d^2, never zero because (2n + d)^2 = 5d^2 has
-    no integer solution with d != 0; slopes <= 0 sit below p, and inf
-    sits above.
-    """
-    if s.is_inf:
-        return FixedPointSide.ABOVE
-    if s.num <= 0:
-        return FixedPointSide.BELOW
-    disc = s.num * s.num + s.num * s.den - s.den * s.den
-    return FixedPointSide.ABOVE if disc > 0 else FixedPointSide.BELOW
 
 
 def slope_in_range(s: Slope, s0: Slope, s1: Slope) -> bool:

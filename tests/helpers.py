@@ -240,6 +240,18 @@ TIGHT_TRIANGLE = (ONE, Slope(2, 1), INF)
 OVERTWISTED_TRIANGLE = (ZERO, ONE, INF)
 
 
+def fixed_side(s: Slope) -> int:
+    """+1 when a slope s >= 0 lies above the attracting fixed slope of the
+    monodromy, -1 when below.
+
+    The fixed slope is the positive root of x^2 + x - 1, so for s = n/d
+    the side is the sign of n^2 + n*d - d^2, which is never zero because
+    (2n + d)^2 = 5d^2 has no integer solution with d != 0; inf is 1/0.
+    """
+    n, d = s.num, s.den
+    return 1 if n * n + n * d - d * d > 0 else -1
+
+
 def same_orbit(slopes, target) -> bool:
     """Whether some power M^k of the monodromy maps target onto slopes.
 

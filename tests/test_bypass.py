@@ -2,8 +2,15 @@ import random
 
 import pytest
 
-from helpers import HUGE_COUNT_SPECS, OVERTWISTED_TRIANGLE, farey_triangles_to_depth, same_orbit
-from legknot import bypass
+from helpers import (
+    HUGE_COUNT_SPECS,
+    OVERTWISTED_TRIANGLE,
+    TIGHT_TRIANGLE,
+    farey_triangles_to_depth,
+    fixed_side,
+    same_orbit,
+)
+from legknot import bypass, cli
 from legknot.bypass import (
     ConfigKind,
     DestabilizationFound,
@@ -33,7 +40,7 @@ from legknot.errors import (
     TaxonomyError,
     Unsupported,
 )
-from legknot.lattice import cmp_fixed, mediant, monodromy_apply, parse_slope
+from legknot.lattice import INF, ONE, ZERO, mediant, monodromy_apply, parse_slope
 
 
 def S(text):
@@ -143,7 +150,7 @@ class TestMoves:
         # triangles in [0, inf] with slopes on both sides of the fixed slope
         straddling = [
             tri for tri in farey_triangles_to_depth(10)
-            if all(s.num >= 0 for s in tri) and len({cmp_fixed(s) for s in tri}) == 2
+            if all(s.num >= 0 for s in tri) and len({fixed_side(s) for s in tri}) == 2
         ]
         assert len(straddling) >= 10
         for tri in straddling:
@@ -161,6 +168,17 @@ class TestMoves:
             apply_move(c, Move(MoveTag.FIRST_KIND, S("1")))
         with pytest.raises(IllegalMove):
             apply_move(make_config("III:3,7/2,4"), Move(MoveTag.CASE_THREE_B, S("3")))
+
+    def test_no_transition_where_none_is_listed(self):
+        # one arc class with extra closed curves lists no move; expanding it
+        # anyway would drop the closed curves
+        for spec in ("I:1x3+3c", "I:infx3+5c", "I:1/2x3+3c"):
+            c = make_config(spec)
+            assert legal_moves(c) == []
+            with pytest.raises(IllegalMove):
+                apply_move(c, Move(MoveTag.EXPAND_FROM_I, c.slopes[0]))
+        with pytest.raises(IllegalMove):
+            apply_move(make_config("II:1x2,infx2"), Move(MoveTag.FIRST_KIND, ONE))
 
     def test_arc_conservation(self):
         for tri in farey_triangles_to_depth(3):
@@ -292,6 +310,109 @@ class TestNormalize:
         a = normalize(make_config("III:5/3,7/4,2"))
         b = normalize(make_config("III:5/3,7/4,2"))
         assert a == b == NormalizationOutcome(a.kind, a.trace, a.steps)
+
+
+def _starts():
+    """Triangles to depth 8 on both sides of 0, and one arc class with 1 and
+    3 closed curves on the slopes of the triangles to depth 6, under
+    shifts cycling through -3..3."""
+    starts = [
+        monodromy_config(type_iii(tri, (1, 1, 1)), i % 7 - 3)
+        for i, tri in enumerate(farey_triangles_to_depth(8))
+    ]
+    slopes = sorted({s for tri in farey_triangles_to_depth(6) for s in tri})
+    starts += [
+        monodromy_config(type_i(s, 3, closed), i % 7 - 3)
+        for i, s in enumerate(slopes)
+        for closed in (1, 3)
+    ]
+    return starts
+
+
+def _plain_walk(c):
+    """Take the first legal move until none is left, with the closed-curve
+    reduction first; return the end configuration and the trace."""
+    trace = []
+    if c.kind is ConfigKind.I and c.closed > 1:
+        trace.append("ReduceClosed %dc->1c" % c.closed)
+        c = type_i(c.slopes[0], c.mults[0], 1)
+    while moves := legal_moves(c):
+        after = apply_move(c, moves[0])
+        trace.append("%s %s->%s" % (
+            moves[0].tag.value,
+            ",".join(str(s) for s in c.slopes),
+            ",".join(str(s) for s in after.slopes),
+        ))
+        c = after
+    return c, tuple(trace)
+
+
+class TestMoveCount:
+    def test_count_equals_the_plain_walk(self):
+        starts = _starts()
+        assert len(starts) >= 1000
+        assert any(s.num < 0 for c in starts for s in c.slopes)
+        for c in starts:
+            out = normalize(c)
+            end, trace = _plain_walk(c)
+            assert (out.trace, out.steps) == (trace, len(trace)), c
+            tight = out.kind is OutcomeKind.STANDARD_TIGHT
+            assert same_orbit(end.slopes, TIGHT_TRIANGLE if tight else OVERTWISTED_TRIANGLE), c
+
+    def test_one_window_for_every_shift(self):
+        # M maps 0 to 1/2 and inf to 1, and the window [0, 1/2] + [1, inf]
+        # is closed at both ends, so one arc class in the orbit of 0 or of
+        # inf has two representatives, reached from opposite sides
+        twins = ({(ZERO,), (S("1/2"),)}, {(INF,), (ONE,)})
+        for c in _starts():
+            shift, rep = bypass._canonical(c.slopes)
+            for k in range(-5, 6):
+                shift_k, rep_k = bypass._canonical(monodromy_config(c, k).slopes)
+                if {rep, rep_k} in twins:
+                    assert abs(shift_k - (shift - k)) == 1
+                else:
+                    assert (shift_k, rep_k) == (shift - k, rep), (c, k)
+            # the window of the three sides of the fixed slope
+            sides = {fixed_side(s) for s in rep}
+            if sides == {1}:
+                assert rep[0] >= ONE
+            elif sides == {-1}:
+                assert rep[-1] <= S("1/2")
+            else:
+                assert rep[0] == ZERO
+
+    def test_refused_up_front_over_the_cap(self, monkeypatch):
+        analyzed = []
+        monkeypatch.setattr(bypass, "_analyze3", lambda c: analyzed.append(c))
+        with pytest.raises(Unsupported, match="999999999 moves"):
+            normalize(make_config("III:0,1/1000000000,1/999999999"))
+        with pytest.raises(NonTermination):
+            normalize(make_config("III:0,1/1000000000,1/999999999"), step_limit=10)
+        with pytest.raises(NonTermination):
+            normalize(make_config("III:1/4,2/7,1/3"), step_limit=3)
+        assert analyzed == []
+
+    def test_walk_off_its_count_is_a_bug(self, monkeypatch):
+        c = make_config("III:5/3,7/4,2")  # three moves
+        for wrong in (2, 4):
+            monkeypatch.setattr(bypass, "_move_count", lambda rep: wrong)
+            with pytest.raises(NonTermination, match="disagrees"):
+                normalize(c)
+
+    def test_cli_refusals_take_no_move(self, monkeypatch, capsys):
+        calls = []
+        analyze = bypass._analyze3
+        monkeypatch.setattr(bypass, "_analyze3", lambda c: calls.append(c) or analyze(c))
+        assert cli.main(["bypass-normalize", "III:0,1/1000000000,1/999999999"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "999999999" in captured.err
+        assert cli.main(["bypass-normalize", "III:1/4,2/7,1/3", "--step-limit", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert calls == []
+        assert cli.main(["bypass-normalize", "III:1/4,2/7,1/3", "--step-limit", "4"]) == 0
+        assert len(calls) == 5  # four moves, then the terminal check
 
 
 class TestFindDestabilization:

@@ -8,11 +8,9 @@ from legknot.lattice import (
     INF,
     ONE,
     ZERO,
-    FixedPointSide,
     IntegralVector,
     MONODROMY_MATRIX,
     Slope,
-    cmp_fixed,
     farey_depth,
     farey_det,
     farey_parents,
@@ -184,22 +182,6 @@ class TestMonodromy:
             for _ in range(4):
                 s = monodromy_apply(s)
             assert S("1/2") < s < ONE
-
-
-class TestFixedPointSide:
-    def test_examples(self):
-        assert cmp_fixed(ONE) is FixedPointSide.ABOVE
-        assert cmp_fixed(S("1/2")) is FixedPointSide.BELOW
-        assert cmp_fixed(S("3/5")) is FixedPointSide.BELOW
-        assert cmp_fixed(INF) is FixedPointSide.ABOVE
-        assert cmp_fixed(S("-5")) is FixedPointSide.BELOW
-
-    def test_monotone_on_positives(self):
-        samples = sorted(
-            [reduce_slope(n, d) for n in range(1, 15) for d in range(1, 15)]
-        )
-        sides = [cmp_fixed(s) is FixedPointSide.ABOVE for s in samples]
-        assert sides == sorted(sides)  # False... then True
 
 
 class TestSlopeInRange:

@@ -1,5 +1,6 @@
 """Source layout rules that hold for every file under src/."""
 
+import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -14,3 +15,57 @@ def test_no_line_over_the_limit():
         if len(line) > MAX_LINE
     ]
     assert not long, "lines over %d characters: %s" % (MAX_LINE, ", ".join(long))
+
+
+def _modules():
+    paths = sorted(SRC.rglob("*.py"))
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in paths]
+
+
+def _top_level_names(tree):
+    """Names bound at module level by definitions, assignments and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_exported_name_is_bound():
+    unbound = []
+    for path, tree in _modules():
+        exported = [
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        ]
+        bound = _top_level_names(tree)
+        where = path.relative_to(SRC)
+        unbound += ["%s: %s" % (where, name) for name in exported if name not in bound]
+    assert not unbound, "names in __all__ that the module does not bind: %s" % ", ".join(unbound)
+
+
+def test_every_private_name_is_used():
+    used = set()
+    for _, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [
+        "%s: %s" % (path.relative_to(SRC), name)
+        for path, tree in _modules()
+        for name in sorted(_top_level_names(tree))
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+    assert not unused, "private names nothing in src/ refers to: %s" % ", ".join(unused)
