@@ -17,12 +17,16 @@ configuration toward one of two terminal orbits:
 
 Both fixed slopes of M are irrational, so every orbit has exactly one
 representative in a canonical window.  Applying M moves every slope into
-[0, inf], and M maps [0, inf] onto [1/2, 1]; applying M^-1 then moves the
-slopes out toward the repelling fixed slope, and the representative is
-the first image whose middle slope is not strictly between 1/2 and 1.  A
-one-class configuration has its slope as middle slope.  No Farey edge
-crosses 1/2 or 1 except (0, 1) and (0, inf), so a triangle's middle slope
-leaves (1/2, 1) exactly when the triangle leaves [1/2, 1].
+[0, inf], and M maps [0, inf] into [1/2, 1] and [1/2, 1] into itself;
+applying M^-1 then moves the slopes out toward the repelling fixed slope,
+and the representative is the first image not contained in [1/2, 1].  No
+Farey edge crosses 1/2 or 1 except (0, 1) and (0, inf), so a triangle
+leaves [1/2, 1] exactly when its middle slope leaves (1/2, 1).  One arc
+class leaves it at 0 or inf: 1/2 = M(0) and 1 = M(inf) step back once
+more, so the orbits of 0 and inf have one representative each too.
+Both window tests are monotone in the power of M, so the two powers are
+found by doubling and bisecting, in O(log k) evaluations for a start k
+powers away, each of them O(log k) multiplications.
 
 A triangle is terminal exactly when its representative is {1, 2, inf}
 or {0, 1, inf}, and the moves are the transitions forced on the
@@ -63,11 +67,13 @@ from .lattice import (
     ONE,
     ZERO,
     Slope,
+    apply_matrix,
     farey_depth,
     farey_parents,
     is_farey_edge,
     mediant,
     monodromy_apply,
+    monodromy_matrix,
     parse_slope,
     slope_of_vector,
 )
@@ -230,8 +236,11 @@ def config_tb(c: DividingConfig) -> int:
 
 def monodromy_config(c: DividingConfig, k: int) -> DividingConfig:
     """Apply the k-th monodromy power to every slope; multiplicities persist."""
-    slopes = tuple(monodromy_apply(s, k) for s in c.slopes)
-    return _sorted_config(c.kind, slopes, c.mults, c.closed)
+    return _map_slopes(c, lambda s: monodromy_apply(s, k))
+
+
+def _map_slopes(c: DividingConfig, f) -> DividingConfig:
+    return _sorted_config(c.kind, tuple(f(s) for s in c.slopes), c.mults, c.closed)
 
 
 # --- move bookkeeping ----------------------------------------------------
@@ -276,19 +285,50 @@ def _canonical(slopes) -> tuple[int, tuple[Slope, ...]]:
     """The power k of the monodromy taking slopes into the canonical
     window, and the sorted representative M^k(slopes).
 
-    M draws every rational slope toward its irrational attracting fixed
-    slope, so the first loop ends; near the repelling fixed slope each
-    step multiplies the distance to it by about 2.618, so both loops take
-    O(log denominator) steps.
+    Two searches find k: up from 0 to the first power with every slope
+    in [0, inf] (0 itself when the slopes are there already), then down
+    to the first power whose image is not contained in [1/2, 1].  Both
+    tests are monotone in the power, so :func:`_first_failure` finds each
+    in O(log k) evaluations, and a start already in the window takes none.
     """
-    shift, current = 0, tuple(sorted(slopes))
-    while current[0].num < 0:  # inf is 1/0, so this reads "not in [0, inf]"
-        current = tuple(sorted(monodromy_apply(s, 1) for s in current))
-        shift += 1
-    while _HALF < current[len(current) // 2] < ONE:
-        current = tuple(sorted(monodromy_apply(s, -1) for s in current))
-        shift -= 1
-    return shift, current
+    images = {0: tuple(sorted(slopes))}
+
+    def image(k):
+        if k not in images:
+            images[k] = tuple(sorted(monodromy_apply(s, k) for s in slopes))
+        return images[k]
+
+    def outside(k):  # a slope below 0; inf is 1/0
+        return image(k)[0].num < 0
+
+    def inside(k):  # every slope in [1/2, 1]
+        rep = image(k)
+        return _HALF <= rep[0] and rep[-1] <= ONE
+
+    shift = _first_failure(outside, 0, 1) if outside(0) else 0
+    if inside(shift):
+        shift = _first_failure(inside, shift, -1)
+    return shift, image(shift)
+
+
+def _first_failure(holds, start: int, step: int) -> int:
+    """The first k = start + n * step, n >= 1, at which holds(k) is false.
+
+    holds(start) is true, and along step holds stays false once false.
+    Doubling jumps bracket the answer and bisection closes the bracket:
+    O(log n) tests.
+    """
+    good, jump = start, step
+    while holds(good + jump):
+        good, jump = good + jump, 2 * jump
+    bad = good + jump
+    while abs(bad - good) > 1:
+        mid = (good + bad) // 2
+        if holds(mid):
+            good = mid
+        else:
+            bad = mid
+    return bad
 
 
 def _sum_vertex(triple) -> int:
@@ -320,7 +360,7 @@ def _expand(slope: Slope):
     whose slope is its canonical representative."""
     if slope == ZERO:
         return _OVERTWISTED_TRIANGLE
-    if slope == ONE or slope.is_inf:
+    if slope.is_inf:
         return _TIGHT_TRIANGLE
     left, right = farey_parents(slope)
     anchor = right if slope < ONE else left  # below the fixed slope
@@ -480,12 +520,13 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
         raise Unsupported("%s takes %d moves, more than the cap of %d" % (c, count, MAX_ROWS))
 
     # step in the canonical frame, so each step's window search is short,
-    # and map only the trace back to the input's frame
+    # and map only the trace back to the input's frame, by one matrix
     frame = monodromy_config(current, shift)
+    back = monodromy_matrix(-shift)
     terminal, moves = _analyze3(frame)
     while terminal is None and len(trace) < count:
         move, frame = moves[0]
-        result = monodromy_config(frame, -shift)
+        result = _map_slopes(frame, lambda s: slope_of_vector(apply_matrix(back, s.vector())))
         trace.append(_move_line(move, current, result))
         current = result
         terminal, moves = _analyze3(frame)

@@ -16,7 +16,7 @@ import functools
 import sys
 
 from . import bypass, classify, convex, front, lattice, transversal
-from .errors import LegknotError, NonTermination, decimal
+from .errors import LegknotError, NonTermination, Unsupported, decimal
 
 __all__ = ["main", "render_range"]
 
@@ -125,6 +125,15 @@ def _valleys(args):
     return 0, "".join("%d\t%d\n" % p for p in sorted(meets, key=lambda p: (-p[0], p[1])))
 
 
+def _farey_cf(args):
+    blocks = lattice.neg_cf_blocks(args.p, args.q)
+    terms = sum(run for _, run in blocks)
+    if terms > classify.MAX_ROWS:
+        raise Unsupported("-%d/%d has %d continued-fraction terms, more than the cap of %d"
+                          % (args.p, args.q, terms, classify.MAX_ROWS))
+    return 0, "".join(("%d " % r) * run for r, run in blocks)[:-1] + "\n"
+
+
 def _bypass_normalize(args):
     outcome = bypass.normalize(bypass.make_config(args.config), args.step_limit)
     lines = ["outcome=%s" % outcome.kind.value, "steps=%d" % outcome.steps, *outcome.trace]
@@ -215,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("p", type=decimal)
     p.add_argument("q", type=decimal)
-    p.set_defaults(run=lambda a: (0, " ".join(str(r) for r in lattice.neg_cf(a.p, a.q)) + "\n"))
+    p.set_defaults(run=_farey_cf)
 
     p = sub.add_parser(
         "farey-count",

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Unsupported, ZeroIntersection
-from .lattice import IntegralVector, Slope, farey_det, neg_cf, reduce_slope
+from .lattice import IntegralVector, Slope, farey_det, neg_cf_blocks, reduce_slope
 
 __all__ = [
     "TorusDividingSet",
@@ -138,12 +138,13 @@ def tight_count(p: int, q: int) -> int:
     """Number of tight structures on a solid torus with boundary slope -p/q.
 
     Product formula over the negative continued fraction: all factors
-    |ri + 1| except the last, which contributes |rk|.
+    |ri + 1| except the last, which contributes |rk|.  A run of -2 entries
+    contributes 1, so one factor per run suffices.
     """
-    cf = neg_cf(p, q)
-    count = abs(cf[-1])
-    for r in cf[:-1]:
-        count *= abs(r + 1)
+    blocks = neg_cf_blocks(p, q)
+    count = -blocks[-1][0]
+    for r, _ in blocks[:-1]:
+        count *= -r - 1
     return count
 
 

@@ -11,8 +11,17 @@ third vertex of each triangle carried by an edge.
 The monodromy of interest is the linear map (x, y) -> (2x + y, x + y),
 which on slopes reads s -> (1 + s)/(2 + s).  Its attracting fixed slope
 is the positive root of s^2 + s - 1; it is irrational and never
-materialized.  Everything in this module is exact integer arithmetic; no
-floating point is used anywhere.
+materialized.  The matrix M = [[2, 1], [1, 1]] is the square of the
+Fibonacci matrix [[1, 1], [1, 0]], so with F the Fibonacci numbers
+
+    M^k = [[F(2k+1), F(2k)], [F(2k), F(2k-1)]],
+    M^-k = [[F(2k-1), -F(2k)], [-F(2k), F(2k+1)]],
+
+and one fast-doubling evaluation of the pair (F(2k), F(2k+1)) gives any
+power in O(log k) multiplications.  Negative continued fractions are
+read off the regular ones in blocks, so they too cost O(log p) steps
+before their terms are written out.  Everything in this module is exact
+integer arithmetic; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -36,7 +45,10 @@ __all__ = [
     "is_farey_edge",
     "mediant",
     "triangle_completions",
+    "neg_cf_blocks",
     "neg_cf",
+    "monodromy_matrix",
+    "apply_matrix",
     "monodromy_vec",
     "monodromy_apply",
     "slope_in_range",
@@ -130,7 +142,6 @@ ONE = Slope(1, 1)
 #: The monodromy matrix of the punctured-torus fibration, acting by
 #: (x, y) -> (2x + y, x + y).  Determinant 1.
 MONODROMY_MATRIX = ((2, 1), (1, 1))
-_MONODROMY_INVERSE = ((1, -1), (-1, 2))
 
 
 def reduce_slope(num: int, den: int) -> Slope:
@@ -211,39 +222,72 @@ def triangle_completions(s: Slope, t: Slope) -> tuple[Slope, Slope]:
     )
 
 
-def neg_cf(p: int, q: int) -> list[int]:
-    """Negative continued fraction of -p/q for coprime p > q > 0.
+def _regular_cf(p: int, q: int) -> list[int]:
+    """Partial quotients [a0; a1, ..., an] of p/q >= 0 by one Euclid pass."""
+    out = []
+    while q:
+        out.append(p // q)
+        p, q = q, p % q
+    return out
 
-    Returns (r0, ..., rk) with every ri <= -2 and
-    r0 - 1/(r1 - 1/(... - 1/rk)) = -p/q, by the ceiling-based Euclidean
-    recursion.  Callers should trust the reconstruction identity, not the
-    recursion; the test suite re-evaluates the fraction from the output.
+
+def neg_cf_blocks(p: int, q: int) -> list[tuple[int, int]]:
+    """Negative continued fraction of -p/q as runs (entry, count).
+
+    For coprime p > q > 0 with p/q = [a0; a1, ..., an], the entries of
+    -p/q = r0 - 1/(r1 - 1/(... - 1/rk)), all <= -2, run
+
+        -(a0 + 1), (a1 - 1) x -2, -(a2 + 2), (a3 - 1) x -2, ...
+
+    and when n is even the last entry is one higher: -(an + 1), or -a0
+    when n = 0.  There are n + 1 runs, O(log p) of them.
     """
     if not (p > q > 0):
         raise InvalidFraction("need p > q > 0, got p=%r q=%r" % (p, q))
     if gcd(p, q) != 1:
         raise InvalidFraction("p=%r and q=%r are not coprime" % (p, q))
-    out = []
-    while True:
-        c = -((p + q - 1) // q)  # -ceil(p/q) <= -2 since p > q
-        out.append(c)
-        rem = (-c) * q - p
-        if rem == 0:
-            return out
-        p, q = q, rem
+    quotients = _regular_cf(p, q)
+    blocks = [(-2, a - 1) if i % 2 else (-a - (2 if i else 1), 1)
+              for i, a in enumerate(quotients)]
+    if len(quotients) % 2:  # n even
+        blocks[-1] = (blocks[-1][0] + 1, 1)
+    return blocks
+
+
+def neg_cf(p: int, q: int) -> list[int]:
+    """Negative continued fraction (r0, ..., rk) of -p/q for coprime
+    p > q > 0: every ri <= -2 and r0 - 1/(r1 - 1/(... - 1/rk)) = -p/q."""
+    return [r for r, run in neg_cf_blocks(p, q) for _ in range(run)]
+
+
+def monodromy_matrix(k: int = 1) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The k-th power of the monodromy matrix, from the pair
+    (F(2|k|), F(2|k|+1)) by fast doubling: O(log k) multiplications."""
+    f, g = 0, 1
+    for bit in bin(2 * abs(k))[2:]:
+        f, g = f * (2 * g - f), f * f + g * g  # (F(n), F(n+1)) -> (F(2n), F(2n+1))
+        if bit == "1":
+            f, g = g, f + g
+    return ((g, f), (f, g - f)) if k >= 0 else ((g - f, -f), (-f, g))
+
+
+def apply_matrix(
+    mat: tuple[tuple[int, int], tuple[int, int]], v: IntegralVector
+) -> IntegralVector:
+    """The integer matrix mat applied to the column vector v."""
+    (a, b), (c, d) = mat
+    return IntegralVector(a * v.x + b * v.y, c * v.x + d * v.y)
 
 
 def monodromy_vec(v: IntegralVector, k: int = 1) -> IntegralVector:
     """Apply the k-th power of the monodromy matrix to a vector."""
-    mat = MONODROMY_MATRIX if k >= 0 else _MONODROMY_INVERSE
-    x, y = v.x, v.y
-    for _ in range(abs(k)):
-        x, y = mat[0][0] * x + mat[0][1] * y, mat[1][0] * x + mat[1][1] * y
-    return IntegralVector(x, y)
+    return apply_matrix(monodromy_matrix(k), v)
 
 
 def monodromy_apply(s: Slope, k: int = 1) -> Slope:
     """Slope of the k-th monodromy power applied to the class of s."""
+    if k == 0:
+        return s
     return slope_of_vector(monodromy_vec(s.vector(), k))
 
 
@@ -286,9 +330,4 @@ def farey_depth(s: Slope) -> int:
     """Number of mediant steps from the base vertices 0, +-1, inf."""
     if s.is_inf or s.num == 0:
         return 0
-    m, n = abs(s.num), s.den
-    depth = -1
-    while n:
-        depth += m // n
-        m, n = n, m % n
-    return depth
+    return sum(_regular_cf(abs(s.num), s.den)) - 1

@@ -4,14 +4,16 @@ Everything here deliberately avoids the code paths it is used to check:
 colorings come from the diagram's crossing relations, tight-structure
 counts from shortest paths in the Farey graph, triangle enumeration
 from raw mediant subdivision, realizability from a scan over every
-peak's stabilization cone, and disk rotation sets from every
-non-crossing chord diagram.
+peak's stabilization cone, disk rotation sets from every non-crossing
+chord diagram, monodromy powers from repeated matrix products, and the
+canonical window from a walk of single monodromy steps.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 from legknot.classify import KnotType, Peak, Sign, max_tb
@@ -21,10 +23,12 @@ from legknot.lattice import (
     INF,
     ONE,
     ZERO,
+    IntegralVector,
     Slope,
     mediant,
     monodromy_apply,
     reduce_slope,
+    slope_of_vector,
     triangle_completions,
 )
 
@@ -270,6 +274,44 @@ def same_orbit(slopes, target) -> bool:
                 return True
             current = tuple(monodromy_apply(s, step) for s in current)
     return False
+
+
+def stepwise_monodromy(v: IntegralVector, k: int) -> IntegralVector:
+    """M^k v by |k| products with [[2, 1], [1, 1]], or with its inverse
+    [[1, -1], [-1, 2]] for k < 0."""
+    (a, b), (c, d) = ((2, 1), (1, 1)) if k >= 0 else ((1, -1), (-1, 2))
+    x, y = v.x, v.y
+    for _ in range(abs(k)):
+        x, y = a * x + b * y, c * x + d * y
+    return IntegralVector(x, y)
+
+
+def _step(s: Slope, k: int) -> Slope:
+    return slope_of_vector(stepwise_monodromy(s.vector(), k))
+
+
+def stepwise_window(slopes):
+    """The canonical shift and representative found one monodromy step at
+    a time: M until every slope is in [0, inf], then M^-1 while the middle
+    slope is strictly between 1/2 and 1.  This is the window walk of the
+    library before it searched by doubling, kept as its reference."""
+    half = Slope(1, 2)
+    shift, current = 0, tuple(sorted(slopes))
+    while current[0].num < 0:  # inf is 1/0, so this reads "not in [0, inf]"
+        current = tuple(sorted(_step(s, 1) for s in current))
+        shift += 1
+    while half < current[len(current) // 2] < ONE:
+        current = tuple(sorted(_step(s, -1) for s in current))
+        shift -= 1
+    return shift, current
+
+
+def neg_cf_value(cf) -> Fraction:
+    """r0 - 1/(r1 - 1/(... - 1/rk)), evaluated exactly from the tail."""
+    num, den = cf[-1], 1
+    for r in reversed(cf[:-1]):
+        num, den = r * num - den, num
+    return Fraction(num, den)
 
 
 _SEED_WORDS = (

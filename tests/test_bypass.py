@@ -9,6 +9,7 @@ from helpers import (
     farey_triangles_to_depth,
     fixed_side,
     same_orbit,
+    stepwise_window,
 )
 from legknot import bypass, cli
 from legknot.bypass import (
@@ -40,7 +41,7 @@ from legknot.errors import (
     TaxonomyError,
     Unsupported,
 )
-from legknot.lattice import INF, ONE, ZERO, mediant, monodromy_apply, parse_slope
+from legknot.lattice import ONE, ZERO, mediant, monodromy_apply, parse_slope
 
 
 def S(text):
@@ -243,6 +244,12 @@ class TestNormalize:
         assert normalize(make_config("I:infx3+1c")).kind is OutcomeKind.STANDARD_TIGHT
         assert normalize(make_config("I:0x3+1c")).kind is OutcomeKind.OVERTWISTED
         assert normalize(make_config("I:1/2x3+1c")).kind is OutcomeKind.OVERTWISTED
+        # 1/2 = M(0) and 1 = M(inf) walk like 0 and inf, mapped by M
+        for spec, image in (("I:0x3+1c", "I:1/2x3+1c"), ("I:infx3+1c", "I:1x3+1c")):
+            out, shifted = normalize(make_config(spec)), normalize(make_config(image))
+            assert out.steps == shifted.steps == 1
+            walk = monodromy_config(apply_move(make_config(spec), legal_moves(make_config(spec))[0]), 1)
+            assert shifted.trace[0].endswith("->" + ",".join(str(s) for s in walk.slopes))
 
     def test_closed_curves_absorbed(self):
         out = normalize(make_config("I:1x3+3c"))
@@ -286,21 +293,22 @@ class TestNormalize:
         c = type_iii((low, high, mediant(low, high)), (1, 1, 1))
         calls = []
 
-        def counting_apply(s, k=1):
-            calls.append(k)
-            return monodromy_apply(s, k)
+        def counting(fn):
+            return lambda *args: calls.append(args) or fn(*args)
 
-        monkeypatch.setattr(bypass, "monodromy_apply", counting_apply)
+        # every monodromy power bypass evaluates goes through one of these
+        monkeypatch.setattr(bypass, "monodromy_apply", counting(bypass.monodromy_apply))
+        monkeypatch.setattr(bypass, "monodromy_matrix", counting(bypass.monodromy_matrix))
         plain = normalize(c)
         unshifted = len(calls)
-        for shift in (150, -150):
+        for shift in (150, -150, 10**4, -(10**4)):
             start = monodromy_config(c, shift)
             calls.clear()
             out = normalize(start)
             assert out.kind is plain.kind and out.steps == plain.steps
-            # finding the canonical frame once costs 3 calls per power of M;
-            # re-finding it at every step cost that much per step
-            assert len(calls) - unshifted <= 4 * abs(shift)
+            # doubling and bisecting take about 2 log2 |shift| window tests
+            # of 3 slopes each; a step-by-step search took 3 |shift| calls
+            assert len(calls) - unshifted <= 7 * abs(shift).bit_length()
 
     def test_negative_step_limit_unsupported(self):
         with pytest.raises(Unsupported):
@@ -360,18 +368,11 @@ class TestMoveCount:
             assert same_orbit(end.slopes, TIGHT_TRIANGLE if tight else OVERTWISTED_TRIANGLE), c
 
     def test_one_window_for_every_shift(self):
-        # M maps 0 to 1/2 and inf to 1, and the window [0, 1/2] + [1, inf]
-        # is closed at both ends, so one arc class in the orbit of 0 or of
-        # inf has two representatives, reached from opposite sides
-        twins = ({(ZERO,), (S("1/2"),)}, {(INF,), (ONE,)})
         for c in _starts():
             shift, rep = bypass._canonical(c.slopes)
             for k in range(-5, 6):
                 shift_k, rep_k = bypass._canonical(monodromy_config(c, k).slopes)
-                if {rep, rep_k} in twins:
-                    assert abs(shift_k - (shift - k)) == 1
-                else:
-                    assert (shift_k, rep_k) == (shift - k, rep), (c, k)
+                assert (shift_k, rep_k) == (shift - k, rep), (c, k)
             # the window of the three sides of the fixed slope
             sides = {fixed_side(s) for s in rep}
             if sides == {1}:
@@ -380,6 +381,15 @@ class TestMoveCount:
                 assert rep[-1] <= S("1/2")
             else:
                 assert rep[0] == ZERO
+
+    def test_search_finds_the_stepwise_window(self):
+        rng = random.Random(20000611)
+        triangles = farey_triangles_to_depth(8)
+        assert len(triangles) > 700
+        for tri in triangles:
+            for k in (rng.randint(-300, 300), rng.randint(-12, 15)):
+                slopes = monodromy_config(type_iii(tri, (1, 1, 1)), k).slopes
+                assert bypass._canonical(slopes) == stepwise_window(slopes), (tri, k)
 
     def test_refused_up_front_over_the_cap(self, monkeypatch):
         analyzed = []

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from helpers import HUGE_COUNT_SPECS, RIGHT_TREFOIL_PEAK_WORD, STABILIZED_UNKNOT_WORD
+from legknot import classify, convex, lattice
 from legknot.classify import mountain_range, torus, unknot
 from legknot.cli import _build_parser, main, render_range
 
@@ -143,6 +144,29 @@ class TestFareyCommands:
     def test_invalid_fraction(self, capsys):
         assert main(["farey-cf", "3", "6"]) == 1
         capsys.readouterr()
+
+    def test_cf_over_the_cap_refused_up_front(self, capsys, monkeypatch):
+        def no_list(p, q):
+            raise AssertionError("the term list of -%d/%d was built" % (p, q))
+
+        monkeypatch.setattr(lattice, "neg_cf", no_list)
+        # 1000002/1000001 = [1; 1000001] has 1000001 terms, all -2
+        assert main(["farey-cf", "1000002", "1000001"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "1000001 continued-fraction terms" in captured.err
+        monkeypatch.setattr(classify, "MAX_ROWS", 6)  # 7/6 has 6 terms, 8/7 has 7
+        assert run(capsys, "farey-cf", "7", "6") == (0, " ".join(["-2"] * 6) + "\n")
+        assert run(capsys, "farey-cf", "8", "7") == (1, "")
+
+    def test_count_for_any_p(self, capsys, monkeypatch):
+        for module in (lattice, convex):
+            monkeypatch.setattr(module, "neg_cf", lambda p, q: pytest.fail("term list built"),
+                                raising=False)
+        assert run(capsys, "farey-count", "1000000001", "1000000000") == (0, "2\n")
+        assert run(capsys, "farey-count", "1000000002", "1000000001") == (0, "2\n")
+        # -(10^9 + 3)/4 = -250000001 - 1/(-4): 250000000 * 4 structures
+        assert run(capsys, "farey-count", "1000000003", "4") == (0, "1000000000\n")
 
 
 class TestBypassCommand:

@@ -13,7 +13,7 @@ from legknot.convex import (
     twist_from_dividing,
 )
 from legknot.errors import Unsupported, ZeroIntersection
-from legknot.lattice import IntegralVector, parse_slope, reduce_slope
+from legknot.lattice import IntegralVector, neg_cf, parse_slope, reduce_slope
 
 
 def S(text):
@@ -111,6 +111,18 @@ class TestTightCount:
             for q in range(1, p):
                 if gcd(p, q) == 1:
                     assert tight_count(p, q) >= 1
+
+    def test_against_the_term_product(self):
+        # |(r0 + 1) ... (r_{k-1} + 1) r_k| over every term of the fraction
+        pairs = [(p, q) for p in range(2, 120) for q in range(1, p)]
+        pairs += [(p, p - d) for p in (10**4, 10**5 + 1) for d in range(1, 33)]
+        for p, q in pairs:
+            if gcd(p, q) == 1:
+                cf = neg_cf(p, q)
+                product = -cf[-1]
+                for r in cf[:-1]:
+                    product *= -r - 1
+                assert tight_count(p, q) == product, (p, q)
 
     def test_against_path_enumerator(self):
         for p in range(2, 13):

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from helpers import neg_cf_value, stepwise_monodromy
 from legknot.errors import DegenerateEdge, InvalidFraction, InvalidSlope, NotAnEdge
 from legknot.lattice import (
     INF,
@@ -17,8 +19,10 @@ from legknot.lattice import (
     is_farey_edge,
     mediant,
     monodromy_apply,
+    monodromy_matrix,
     monodromy_vec,
     neg_cf,
+    neg_cf_blocks,
     parse_slope,
     reduce_slope,
     slope_in_range,
@@ -136,13 +140,6 @@ class TestNegCF:
             with pytest.raises(InvalidFraction):
                 neg_cf(p, q)
 
-    @staticmethod
-    def reconstruct(cf):
-        value = Fraction(cf[-1])
-        for r in reversed(cf[:-1]):
-            value = r - Fraction(1) / value
-        return value
-
     def test_reconstruction_small(self):
         for p in range(2, 60):
             for q in range(1, p):
@@ -150,7 +147,29 @@ class TestNegCF:
                     continue
                 cf = neg_cf(p, q)
                 assert all(r <= -2 for r in cf)
-                assert self.reconstruct(cf) == Fraction(-p, q)
+                assert neg_cf_value(cf) == Fraction(-p, q)
+
+    def test_reconstruction_near_one(self):
+        # p/(p - d) with small d has about p/d terms, mostly runs of -2
+        rng = random.Random(20000611)
+        for p in (10, 100, 1000, 10**4, 10**5, 10**6):
+            for d in range(1, 33) if p < 10**5 else rng.sample(range(1, 33), 4) + [1]:
+                if not 0 < d < p or gcd(p, d) != 1:
+                    continue
+                cf = neg_cf(p, p - d)
+                assert all(r <= -2 for r in cf)
+                assert neg_cf_value(cf) == Fraction(-p, p - d), (p, d)
+
+    def test_blocks_expand_to_the_terms(self):
+        assert neg_cf_blocks(7, 3) == [(-3, 1), (-2, 2)]
+        assert neg_cf_blocks(5, 3) == [(-2, 1), (-2, 0), (-3, 1)]
+        assert neg_cf_blocks(10**9 + 1, 10**9) == [(-2, 1), (-2, 10**9 - 1)]
+        for p in range(2, 80):
+            for q in range(1, p):
+                if gcd(p, q) == 1:
+                    blocks = neg_cf_blocks(p, q)
+                    assert [r for r, run in blocks for _ in range(run)] == neg_cf(p, q)
+                    assert len(blocks) <= 2 * p.bit_length()
 
 
 class TestMonodromy:
@@ -168,6 +187,22 @@ class TestMonodromy:
             s = S(text)
             for k in range(-4, 5):
                 assert monodromy_apply(monodromy_apply(s, k), -k) == s
+            assert monodromy_apply(s, 0) is s
+
+    def test_powers_against_repeated_products(self):
+        vectors = [IntegralVector(1, 0), IntegralVector(0, 1), IntegralVector(3, -7),
+                   IntegralVector(-5, 8)]
+        for k in range(-60, 61):
+            for v in vectors:
+                assert monodromy_vec(v, k) == stepwise_monodromy(v, k), (v, k)
+
+    def test_large_powers_invert(self):
+        (a, b), (c, d) = monodromy_matrix(10**4)
+        (e, f), (g, h) = monodromy_matrix(-(10**4))
+        assert (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h) == (1, 0, 0, 1)
+        assert a * d - b * c == 1 and a.bit_length() > 10**4  # F(20001) > 2^13884
+        v = IntegralVector(7, -3)
+        assert monodromy_vec(monodromy_vec(v, 10**4), -(10**4)) == v
 
     def test_preserves_edges(self):
         pairs = [(ZERO, INF), (ONE, INF), (S("1/2"), S("2/3")), (S("-1"), ZERO)]
