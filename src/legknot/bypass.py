@@ -16,24 +16,29 @@ configuration toward one of two terminal orbits:
 * the orbit of {0, 1, inf} - which supports no tight structure.
 
 Both fixed slopes of M are irrational, so every orbit has exactly one
-representative in a canonical window.  Applying M moves every slope into
-[0, inf], and M maps [0, inf] into [1/2, 1] and [1/2, 1] into itself;
-applying M^-1 then moves the slopes out toward the repelling fixed slope,
-and the representative is the first image not contained in [1/2, 1].  No
-Farey edge crosses 1/2 or 1 except (0, 1) and (0, inf), so a triangle
-leaves [1/2, 1] exactly when its middle slope leaves (1/2, 1).  One arc
-class leaves it at 0 or inf: 1/2 = M(0) and 1 = M(inf) step back once
-more, so the orbits of 0 and inf have one representative each too.
-Both window tests are monotone in the power of M, so the two powers are
-found by doubling and bisecting, in O(log k) evaluations for a start k
-powers away, each of them O(log k) multiplications.
+representative in a canonical window.  M maps [0, inf] onto [1/2, 1] and
+[1/2, 1] into itself, so "every slope of M^k(c) lies in [1/2, 1]" is
+false up to some power k and true from the next one on.  The
+representative is the image at the last power where it is false, which
+lies in [0, inf]; doubling and bisecting find that power in O(log k)
+window tests for a start k powers away, each of them one matrix of
+O(log k) multiplications.  No Farey edge crosses 1/2 or 1 except (0, 1)
+and (0, inf), so a triangle leaves [1/2, 1] exactly when its middle slope
+leaves (1/2, 1).  One arc class leaves it at 0 or inf: 1/2 = M(0) and
+1 = M(inf) step back once more, so the orbits of 0 and inf have one
+representative each too.
 
 A triangle is terminal exactly when its representative is {1, 2, inf}
 or {0, 1, inf}, and the moves are the transitions forced on the
 representative, mapped back by the inverse power.  Above the fixed slope
 the triangle flips toward {1, 2, inf} (or temporarily collapses to a
 one-class configuration and re-expands); below it, flips lead to
-{0, 1/2, 1}, which steps into the {0, 1, inf} orbit.  Configurations
+{0, 1/2, 1}, which steps into the {0, 1, inf} orbit.  A flip replaces
+the middle slope of the representative by the difference of the other
+two, and is of the first kind exactly when the minimum has the larger
+denominator.  A one-class representative other than 0 and inf expands
+to itself and its two Stern-Brocot parents, whose vectors sum to its
+own; that triangle is its own representative.  Configurations
 with more than three arcs always admit a bypass that produces a
 boundary-parallel dividing curve, i.e. a destabilization of the boundary
 knot; those are reported as destabilizing moves rather than state
@@ -135,7 +140,7 @@ class DividingConfig:
 
 
 def _sorted_config(kind, slopes, mults, closed=0) -> DividingConfig:
-    order = sorted(range(len(slopes)), key=lambda i: (slopes[i].is_inf, slopes[i]))
+    order = sorted(range(len(slopes)), key=slopes.__getitem__)
     return DividingConfig(
         kind,
         tuple(slopes[i] for i in order),
@@ -236,11 +241,12 @@ def config_tb(c: DividingConfig) -> int:
 
 def monodromy_config(c: DividingConfig, k: int) -> DividingConfig:
     """Apply the k-th monodromy power to every slope; multiplicities persist."""
-    return _map_slopes(c, lambda s: monodromy_apply(s, k))
+    return _map_slopes(c, monodromy_matrix(k)) if k else c
 
 
-def _map_slopes(c: DividingConfig, f) -> DividingConfig:
-    return _sorted_config(c.kind, tuple(f(s) for s in c.slopes), c.mults, c.closed)
+def _map_slopes(c: DividingConfig, mat) -> DividingConfig:
+    slopes = tuple(slope_of_vector(apply_matrix(mat, s.vector())) for s in c.slopes)
+    return _sorted_config(c.kind, slopes, c.mults, c.closed)
 
 
 # --- move bookkeeping ----------------------------------------------------
@@ -281,34 +287,28 @@ class DestabilizationFound:
     arcs_after: int
 
 
-def _canonical(slopes) -> tuple[int, tuple[Slope, ...]]:
-    """The power k of the monodromy taking slopes into the canonical
-    window, and the sorted representative M^k(slopes).
+def _canonical(c: DividingConfig) -> tuple[int, DividingConfig]:
+    """The power k of the monodromy taking c into the canonical window,
+    and the representative M^k(c).
 
-    Two searches find k: up from 0 to the first power with every slope
-    in [0, inf] (0 itself when the slopes are there already), then down
-    to the first power whose image is not contained in [1/2, 1].  Both
-    tests are monotone in the power, so :func:`_first_failure` finds each
-    in O(log k) evaluations, and a start already in the window takes none.
+    k is the last power at which some slope of M^k(c) lies outside
+    [1/2, 1].  The test is monotone in the power, so :func:`_first_failure`
+    finds k in O(log k) evaluations: downward from 0 when the slopes of c
+    all lie in [1/2, 1], upward otherwise.
     """
-    images = {0: tuple(sorted(slopes))}
-
-    def image(k):
-        if k not in images:
-            images[k] = tuple(sorted(monodromy_apply(s, k) for s in slopes))
-        return images[k]
-
-    def outside(k):  # a slope below 0; inf is 1/0
-        return image(k)[0].num < 0
+    images = {0: c}
 
     def inside(k):  # every slope in [1/2, 1]
-        rep = image(k)
-        return _HALF <= rep[0] and rep[-1] <= ONE
+        if k not in images:
+            images[k] = monodromy_config(c, k)
+        slopes = images[k].slopes
+        return _HALF <= slopes[0] and slopes[-1] <= ONE
 
-    shift = _first_failure(outside, 0, 1) if outside(0) else 0
-    if inside(shift):
-        shift = _first_failure(inside, shift, -1)
-    return shift, image(shift)
+    if inside(0):
+        shift = _first_failure(inside, 0, -1)
+    else:
+        shift = _first_failure(lambda k: not inside(k), 0, 1) - 1
+    return shift, images[shift]
 
 
 def _first_failure(holds, start: int, step: int) -> int:
@@ -331,47 +331,34 @@ def _first_failure(holds, start: int, step: int) -> int:
     return bad
 
 
-def _sum_vertex(triple) -> int:
-    """Index of the vertex whose canonical vector is the sum of the others."""
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        if triple[i].vector() == triple[j].vector() + triple[k].vector():
-            return i
-    raise NotATriangle("no vertex is the mediant of the other two")
+def _flip(rep):
+    """Replace the middle slope of a sorted triangle in [0, inf], its
+    mediant vertex, by the difference of the other two.
 
-
-def _flip(tri):
-    """Replace the mediant vertex by the difference of the other two.
-
-    Returns the new triple and the tag: FIRST_KIND when the new mediant
-    vertex is the old minimum slope, SECOND_KIND when it is the old
-    maximum.
+    Returns the new triple and the tag: FIRST_KIND when the old minimum
+    becomes the new mediant vertex, that is when its denominator is the
+    larger, else SECOND_KIND.
     """
-    i = _sum_vertex(tri)
-    j, k = [x for x in range(3) if x != i]
-    new = (tri[j], tri[k], slope_of_vector(tri[j].vector() - tri[k].vector()))
-    new_sum = new[_sum_vertex(new)]
-    tag = MoveTag.FIRST_KIND if new_sum == min(tri[j], tri[k]) else MoveTag.SECOND_KIND
-    return new, tag
+    low, _, high = rep
+    new = (low, high, slope_of_vector(low.vector() - high.vector()))
+    return new, MoveTag.FIRST_KIND if low.den > high.den else MoveTag.SECOND_KIND
 
 
 def _expand(slope: Slope):
-    """Triangle produced by the one legal bypass on a one-class config
-    whose slope is its canonical representative."""
+    """Triangle produced by the one legal bypass on a one-class
+    representative: the slope and its two Stern-Brocot parents."""
     if slope == ZERO:
         return _OVERTWISTED_TRIANGLE
     if slope.is_inf:
         return _TIGHT_TRIANGLE
-    left, right = farey_parents(slope)
-    anchor = right if slope < ONE else left  # below the fixed slope
-    other = slope_of_vector(slope.vector() - anchor.vector())
-    return anchor, slope, other
+    return (slope, *farey_parents(slope))
 
 
 def _analyze3(c: DividingConfig):
     """Terminal outcome (or None) and legal transitions of a three-arc
     configuration, as (outcome, ((move, result), ...)) in c's frame."""
-    shift, rep = _canonical(c.slopes)
+    shift, frame = _canonical(c)
+    rep = frame.slopes
     low, high = rep[0], rep[-1]
     if c.kind is ConfigKind.I:
         moves = [(MoveTag.EXPAND_FROM_I, low, type_iii(_expand(low), (1, 1, 1)))]
@@ -477,8 +464,8 @@ def _destabilization(c: DividingConfig) -> NormalizationOutcome:
 def _move_count(rep) -> int:
     """Moves from a three-arc configuration with canonical representative
     rep to its terminal form; each flip climbs one Farey level."""
-    if len(rep) == 1:  # one arc class expands to a triangle first
-        return 1 + _move_count(_canonical(_expand(rep[0]))[1])
+    if len(rep) == 1:  # one arc class expands to its own representative first
+        return 1 + _move_count(_expand(rep[0]))
     return max(farey_depth(s) for s in rep) - (rep[0] >= ONE)
 
 
@@ -510,8 +497,8 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
         # closed-curve pairs are absorbed before the arc analysis
         trace.append("ReduceClosed %dc->1c" % current.closed)
         current = type_i(current.slopes[0], current.mults[0], 1)
-    shift, rep = _canonical(current.slopes)
-    count = len(trace) + _move_count(rep)
+    shift, frame = _canonical(current)
+    count = len(trace) + _move_count(frame.slopes)
     if step_limit is not None and step_limit < count:
         raise NonTermination(
             "no terminal form within %d steps: %s takes %d" % (step_limit, c, count)
@@ -521,12 +508,11 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
 
     # step in the canonical frame, so each step's window search is short,
     # and map only the trace back to the input's frame, by one matrix
-    frame = monodromy_config(current, shift)
     back = monodromy_matrix(-shift)
     terminal, moves = _analyze3(frame)
     while terminal is None and len(trace) < count:
         move, frame = moves[0]
-        result = _map_slopes(frame, lambda s: slope_of_vector(apply_matrix(back, s.vector())))
+        result = _map_slopes(frame, back)
         trace.append(_move_line(move, current, result))
         current = result
         terminal, moves = _analyze3(frame)

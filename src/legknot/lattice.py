@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DegenerateEdge, InvalidFraction, InvalidSlope, decimal
+from .errors import DegenerateEdge, InvalidFraction, InvalidSlope, NotAnEdge, decimal
 
 __all__ = [
     "IntegralVector",
@@ -193,8 +193,6 @@ def is_farey_edge(s: Slope, t: Slope) -> bool:
 
 
 def _require_edge(s: Slope, t: Slope) -> None:
-    from .errors import NotAnEdge
-
     if not is_farey_edge(s, t):
         raise NotAnEdge("%s and %s are not joined in the tessellation" % (s, t))
 

@@ -5,8 +5,9 @@ colorings come from the diagram's crossing relations, tight-structure
 counts from shortest paths in the Farey graph, triangle enumeration
 from raw mediant subdivision, realizability from a scan over every
 peak's stabilization cone, disk rotation sets from every non-crossing
-chord diagram, monodromy powers from repeated matrix products, and the
-canonical window from a walk of single monodromy steps.
+chord diagram, monodromy powers from repeated matrix products, the
+canonical window from a walk of single monodromy steps, and bypass flips
+from the vertex whose vector is the sum of the other two.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from legknot.bypass import MoveTag
 from legknot.classify import KnotType, Peak, Sign, max_tb
 from legknot.convex import DiskChordDiagram
 from legknot.front import FrontDiagram, FrontEvent, invariants, parse_front, stabilize_diagram
@@ -244,6 +246,26 @@ TIGHT_TRIANGLE = (ONE, Slope(2, 1), INF)
 OVERTWISTED_TRIANGLE = (ZERO, ONE, INF)
 
 
+def sum_vertex(tri) -> Slope:
+    """The vertex of a tessellation triangle whose canonical vector is the
+    sum of the other two."""
+    for i, s in enumerate(tri):
+        j, k = [x for x in range(3) if x != i]
+        if s.vector() == tri[j].vector() + tri[k].vector():
+            return s
+    raise AssertionError("no vertex of %s is the sum of the other two" % (tri,))
+
+
+def sum_vertex_flip(tri):
+    """Replace the sum vertex by the difference of the other two, kept in
+    their order; tag FIRST_KIND when the new sum vertex is the smaller of
+    the two kept slopes, SECOND_KIND otherwise."""
+    top = sum_vertex(tri)
+    j, k = [s for s in tri if s != top]
+    new = (j, k, slope_of_vector(j.vector() - k.vector()))
+    return new, MoveTag.FIRST_KIND if sum_vertex(new) == min(j, k) else MoveTag.SECOND_KIND
+
+
 def fixed_side(s: Slope) -> int:
     """+1 when a slope s >= 0 lies above the attracting fixed slope of the
     monodromy, -1 when below.
@@ -292,15 +314,16 @@ def _step(s: Slope, k: int) -> Slope:
 
 def stepwise_window(slopes):
     """The canonical shift and representative found one monodromy step at
-    a time: M until every slope is in [0, inf], then M^-1 while the middle
-    slope is strictly between 1/2 and 1.  This is the window walk of the
-    library before it searched by doubling, kept as its reference."""
+    a time: M until every slope is in [0, inf], then M^-1 while every
+    slope lies in [1/2, 1].  For triangles the second test reads the same
+    as "the middle slope is strictly between 1/2 and 1", the window walk
+    of the library before it searched by doubling."""
     half = Slope(1, 2)
     shift, current = 0, tuple(sorted(slopes))
     while current[0].num < 0:  # inf is 1/0, so this reads "not in [0, inf]"
         current = tuple(sorted(_step(s, 1) for s in current))
         shift += 1
-    while half < current[len(current) // 2] < ONE:
+    while half <= current[0] and current[-1] <= ONE:
         current = tuple(sorted(_step(s, -1) for s in current))
         shift -= 1
     return shift, current

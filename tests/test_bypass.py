@@ -10,6 +10,8 @@ from helpers import (
     fixed_side,
     same_orbit,
     stepwise_window,
+    sum_vertex,
+    sum_vertex_flip,
 )
 from legknot import bypass, cli
 from legknot.bypass import (
@@ -41,7 +43,7 @@ from legknot.errors import (
     TaxonomyError,
     Unsupported,
 )
-from legknot.lattice import ONE, ZERO, mediant, monodromy_apply, parse_slope
+from legknot.lattice import INF, ONE, ZERO, mediant, monodromy_apply, parse_slope
 
 
 def S(text):
@@ -306,9 +308,9 @@ class TestNormalize:
             calls.clear()
             out = normalize(start)
             assert out.kind is plain.kind and out.steps == plain.steps
-            # doubling and bisecting take about 2 log2 |shift| window tests
-            # of 3 slopes each; a step-by-step search took 3 |shift| calls
-            assert len(calls) - unshifted <= 7 * abs(shift).bit_length()
+            # doubling and bisecting take about 2 log2 |shift| window tests,
+            # one matrix each; a step-by-step search took 3 |shift| calls
+            assert len(calls) - unshifted <= 2 * abs(shift).bit_length()
 
     def test_negative_step_limit_unsupported(self):
         with pytest.raises(Unsupported):
@@ -369,10 +371,10 @@ class TestMoveCount:
 
     def test_one_window_for_every_shift(self):
         for c in _starts():
-            shift, rep = bypass._canonical(c.slopes)
+            shift, frame = bypass._canonical(c)
             for k in range(-5, 6):
-                shift_k, rep_k = bypass._canonical(monodromy_config(c, k).slopes)
-                assert (shift_k, rep_k) == (shift - k, rep), (c, k)
+                assert bypass._canonical(monodromy_config(c, k)) == (shift - k, frame), (c, k)
+            rep = frame.slopes
             # the window of the three sides of the fixed slope
             sides = {fixed_side(s) for s in rep}
             if sides == {1}:
@@ -386,10 +388,38 @@ class TestMoveCount:
         rng = random.Random(20000611)
         triangles = farey_triangles_to_depth(8)
         assert len(triangles) > 700
-        for tri in triangles:
-            for k in (rng.randint(-300, 300), rng.randint(-12, 15)):
-                slopes = monodromy_config(type_iii(tri, (1, 1, 1)), k).slopes
-                assert bypass._canonical(slopes) == stepwise_window(slopes), (tri, k)
+        starts = [type_iii(tri, (1, 1, 1)) for tri in triangles]
+        # one arc class: the slopes to depth 6, and M^k(0), M^k(inf) for
+        # k = 1..6, which start at 1/2 = M(0) and 1 = M(inf)
+        slopes = {s for tri in farey_triangles_to_depth(6) for s in tri}
+        slopes |= {monodromy_apply(s, k) for s in (ZERO, INF) for k in range(1, 7)}
+        assert {S("1/2"), ONE} <= slopes
+        starts += [type_i(s, 3, 1) for s in sorted(slopes)]
+        for c in starts:
+            for k in (0, rng.randint(-300, 300), rng.randint(-12, 15)):
+                shifted = monodromy_config(c, k)
+                shift, rep = bypass._canonical(shifted)
+                assert (shift, rep.slopes) == stepwise_window(shifted.slopes), (c, k)
+
+    def test_flip_tags_by_denominators(self):
+        reps = {
+            bypass._canonical(monodromy_config(type_iii(tri, (1, 1, 1)), k))[1].slopes
+            for tri in farey_triangles_to_depth(9)
+            for k in range(-5, 6)
+        }
+        flipped = [rep for rep in reps if rep[0] >= ONE or rep[-1] <= S("1/2")]
+        assert len(flipped) > 1000
+        for rep in flipped:
+            assert bypass._flip(rep) == sum_vertex_flip(rep), rep
+        tags = {bypass._flip(rep)[1] for rep in flipped}
+        assert tags == {MoveTag.FIRST_KIND, MoveTag.SECOND_KIND}
+
+    def test_expand_gives_the_parents(self):
+        positive = [tri for tri in farey_triangles_to_depth(9)
+                    if all(s > ZERO for s in tri)]
+        assert len(positive) > 1000
+        for tri in positive:
+            assert set(bypass._expand(sum_vertex(tri))) == set(tri), tri
 
     def test_refused_up_front_over_the_cap(self, monkeypatch):
         analyzed = []
