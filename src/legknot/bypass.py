@@ -77,7 +77,6 @@ from .lattice import (
     farey_parents,
     is_farey_edge,
     mediant,
-    monodromy_apply,
     monodromy_matrix,
     parse_slope,
     slope_of_vector,
@@ -377,10 +376,13 @@ def _analyze3(c: DividingConfig):
         mid = rep[1]
         moves = [(MoveTag.CASE_THREE_B, high,
                   type_iii((mid, mediant(mid, high), high), (1, 1, 1)))]
-    return None, tuple(
-        (Move(tag, monodromy_apply(annulus, -shift)), monodromy_config(result, -shift))
-        for tag, annulus, result in moves
-    )
+    if shift:  # one matrix maps every move back
+        back = monodromy_matrix(-shift)
+        moves = [
+            (tag, slope_of_vector(apply_matrix(back, annulus.vector())), _map_slopes(result, back))
+            for tag, annulus, result in moves
+        ]
+    return None, tuple((Move(tag, annulus), result) for tag, annulus, result in moves)
 
 
 def _has_transitions(c: DividingConfig) -> bool:

@@ -143,8 +143,8 @@ class FrontDiagram:
         sgn = -1 if reverse_orientation else 1
         # a right cusp is downward when its upper strand moves rightward, a
         # left cusp when its upper strand (the even id) moves leftward
-        down = sum(self._direction[s] == sgn for s in self._right_uppers)
-        down += sum(d == -sgn for d in self._direction[::2])
+        down = self._direction[::2].count(-sgn)
+        down += list(map(self._direction.__getitem__, self._right_uppers)).count(sgn)
         return down, len(self._direction) - down
 
     def writhe(self) -> int:
@@ -165,22 +165,31 @@ def parse_front(text) -> FrontDiagram:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FrontSyntaxError("front is not UTF-8 text (byte %d)" % exc.start) from None
+    memo: dict[str, FrontEvent | None] = {}  # fronts repeat a few distinct lines
     events = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in _KINDS:
-            raise FrontSyntaxError("expected 'L i', 'R i' or 'X i', got %r" % raw, lineno)
-        try:
-            level = decimal(parts[1])
-        except ValueError:
-            raise FrontSyntaxError("bad level %r" % parts[1], lineno) from None
-        if level < 1:
-            raise FrontSyntaxError("level must be positive", lineno)
-        events.append(FrontEvent(parts[0], level))
+        if raw not in memo:
+            memo[raw] = _parse_line(raw, lineno)
+        if memo[raw] is not None:
+            events.append(memo[raw])
     return FrontDiagram(events)
+
+
+def _parse_line(raw: str, lineno: int) -> FrontEvent | None:
+    """The event on one line of front text, or None for a blank or comment line."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None
+    parts = line.split()
+    if len(parts) != 2 or parts[0] not in _KINDS:
+        raise FrontSyntaxError("expected 'L i', 'R i' or 'X i', got %r" % raw, lineno)
+    try:
+        level = decimal(parts[1])
+    except ValueError:
+        raise FrontSyntaxError("bad level %r" % parts[1], lineno) from None
+    if level < 1:
+        raise FrontSyntaxError("level must be positive", lineno)
+    return FrontEvent(parts[0], level)
 
 
 @dataclass(frozen=True)
@@ -222,10 +231,8 @@ def stabilize_diagram(
     """
     if not 0 <= gap <= len(d.events):
         raise NoSuchStrand("gap %d out of range 0..%d" % (gap, len(d.events)))
-    # Replays the prefix apart from _build on purpose: sharing _build's loop
-    # would add a branch per event to every front that is read.
     active: list[int] = []
-    sid = 0
+    sid = rights = 0
     for ev in d.events[:gap]:
         i = ev.level - 1
         if ev.kind == "L":
@@ -233,15 +240,38 @@ def stabilize_diagram(
             sid += 2
         elif ev.kind == "R":
             del active[i:i + 2]
+            rights += 1
         else:
             active[i], active[i + 1] = active[i + 1], active[i]
     if not 1 <= level <= len(active):
         raise NoSuchStrand("no strand at level %d (have %d)" % (level, len(active)))
-    if d._direction[active[level - 1]] == sign.value:
-        zigzag = (FrontEvent("L", level + 1), FrontEvent("R", level))
+    s = active[level - 1]
+    ds = d._direction[s]
+    up = ds == sign.value
+    # Splice the parent's arrays.  The zigzag's left cusp opens strands sid
+    # and sid + 1, so later ids shift by 2.  s now ends at the new right
+    # cusp; the outer new strand (sid + 1 for [L level+1, R level], sid for
+    # [L level, R level+1]) continues it, with s's later events and right
+    # end.  Entries before gap name only ids below sid and stay as they are.
+    if up:
+        zigzag, cont, mid = (FrontEvent("L", level + 1), FrontEvent("R", level)), sid + 1, sid
     else:
-        zigzag = (FrontEvent("L", level), FrontEvent("R", level + 1))
-    return FrontDiagram(d.events[:gap] + zigzag + d.events[gap:])
+        zigzag, cont, mid = (FrontEvent("L", level), FrontEvent("R", level + 1)), sid, sid + 1
+    new_id = list(range(sid)) + list(range(sid + 2, len(d._direction) + 2))
+    out = object.__new__(FrontDiagram)
+    out.events = d.events[:gap] + zigzag + d.events[gap:]
+    out._direction = d._direction[:sid] + ([-ds, ds] if up else [ds, -ds]) + d._direction[sid:]
+    cycle = [(new_id[t], dt) for t, dt in d.traversal_cycle]
+    i = d.traversal_cycle.index((s, ds))
+    cycle[i:i + 1] = ((s, ds), (mid, -ds), (cont, ds))[::ds]  # in the direction of travel
+    out.traversal_cycle = tuple(cycle)
+    new_id[s] = cont
+    uppers = d._right_uppers
+    out._right_uppers = uppers[:rights] + [s if up else mid]
+    out._right_uppers += map(new_id.__getitem__, uppers[rights:])
+    x = gap - sid // 2 - rights  # crossings before gap
+    out._crossings = d._crossings[:x] + [(new_id[a], new_id[b]) for a, b in d._crossings[x:]]
+    return out
 
 
 def bennequin_compatible(inv: FrontInvariants, knot: classify.KnotType) -> bool:

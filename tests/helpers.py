@@ -367,6 +367,11 @@ def random_valid_diagrams(count: int, seed: int = 20200615):
     return out
 
 
+def front_state(d: FrontDiagram):
+    """Everything a diagram stores, to compare a stabilization with a full build."""
+    return d.events, d._direction, d._right_uppers, d._crossings, d.traversal_cycle
+
+
 def random_hints(d: FrontDiagram, rng: random.Random):
     profile = d.strand_profile()
     gaps = [g for g, n in enumerate(profile) if n > 0]

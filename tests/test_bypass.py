@@ -13,7 +13,7 @@ from helpers import (
     sum_vertex,
     sum_vertex_flip,
 )
-from legknot import bypass, cli
+from legknot import bypass, cli, lattice
 from legknot.bypass import (
     ConfigKind,
     DestabilizationFound,
@@ -201,6 +201,22 @@ class TestMoves:
                     conjugated = Move(move.tag, monodromy_apply(move.annulus_slope, k))
                     assert apply_move(monodromy_config(c, k), conjugated) == monodromy_config(result, k)
 
+    def test_moves_map_back_with_one_matrix(self, monkeypatch):
+        c = monodromy_config(make_config("III:5/3,7/4,2"), 150)
+        expected = [(m.tag, m.annulus_slope) for m in legal_moves(c)]
+        calls = []
+        plain = lattice.monodromy_matrix
+
+        def counting(k=1):
+            calls.append(k)
+            return plain(k)
+
+        monkeypatch.setattr(lattice, "monodromy_matrix", counting)
+        monkeypatch.setattr(bypass, "monodromy_matrix", counting)
+        assert [(m.tag, m.annulus_slope) for m in legal_moves(c)] == expected
+        # 15 window tests for a shift of 150, then one M^-150 for both moves
+        assert len(calls) <= 16
+
     def test_destabilizing_moves_listed_separately(self):
         two_class = make_config("II:1x2,infx2")
         assert legal_moves(two_class) == []
@@ -299,7 +315,7 @@ class TestNormalize:
             return lambda *args: calls.append(args) or fn(*args)
 
         # every monodromy power bypass evaluates goes through one of these
-        monkeypatch.setattr(bypass, "monodromy_apply", counting(bypass.monodromy_apply))
+        monkeypatch.setattr(lattice, "monodromy_matrix", counting(lattice.monodromy_matrix))
         monkeypatch.setattr(bypass, "monodromy_matrix", counting(bypass.monodromy_matrix))
         plain = normalize(c)
         unshifted = len(calls)

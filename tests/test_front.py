@@ -6,11 +6,11 @@ from helpers import (
     RIGHT_TREFOIL_PEAK_WORD,
     STABILIZED_UNKNOT_WORD,
     TREFOIL_WORD,
+    front_state,
     random_hints,
     random_valid_diagrams,
     three_colorings,
 )
-from legknot import front
 from legknot.classify import Sign, torus, unknot
 from legknot.errors import FrontSyntaxError, MultiComponent, NoSuchStrand
 from legknot.front import (
@@ -49,6 +49,27 @@ class TestParsing:
         with pytest.raises(FrontSyntaxError) as err:
             parse_front("L 1\nQ 2\nR 1")
         assert err.value.line == 2
+
+    def test_error_after_repeated_lines_carries_its_line(self):
+        with pytest.raises(FrontSyntaxError) as err:
+            parse_front("L 1\n" * 500 + "Q 2\n")
+        assert err.value.line == 501
+
+    def test_repeated_bad_line_reports_the_first(self):
+        with pytest.raises(FrontSyntaxError) as err:
+            parse_front("L 1\nL 1\nX 0\nR 1\nX 0\nR 1\n")
+        assert err.value.line == 3
+
+    def test_repeated_blanks_and_comments_skipped(self):
+        text = "# c\nL 1\n\n# c\nL 2\n\n  \nR 1\n# c\n  \nR 1\n"
+        assert parse_front(text).events == parse_front(STABILIZED_UNKNOT_WORD).events
+
+    def test_events_match_a_parse_per_line(self):
+        for d in random_valid_diagrams(60):
+            text = "".join("%s %d\n" % (ev.kind, ev.level) for ev in d.events)
+            expected = tuple(FrontEvent(kind, int(level))
+                             for kind, level in map(str.split, text.splitlines()))
+            assert parse_front(text).events == expected
 
     def test_level_out_of_bounds(self):
         with pytest.raises(FrontSyntaxError):
@@ -151,23 +172,20 @@ class TestStabilization:
                         rev = invariants(s, reverse_orientation=True)
                         assert rev.rot == -inv.rot
 
-    def test_builds_one_diagram(self, monkeypatch):
-        diagrams = random_valid_diagrams(20, seed=5)
+    def test_splices_without_a_build(self, monkeypatch):
+        diagrams = random_valid_diagrams(40)
         builds = []
-
-        class CountingDiagram(FrontDiagram):
-            def __init__(self, events):
-                builds.append(events)
-                super().__init__(events)
-
-        monkeypatch.setattr(front, "FrontDiagram", CountingDiagram)
-        rng = random.Random(3)
+        build = FrontDiagram._build
+        monkeypatch.setattr(FrontDiagram, "_build", lambda self: builds.append(self) or build(self))
         for d in diagrams:
-            gap, level = random_hints(d, rng)
-            for sign in Sign:
-                builds.clear()
-                stabilize_diagram(d, sign, gap, level)
-                assert len(builds) == 1
+            for gap, n in enumerate(d.strand_profile()):
+                for level in range(1, n + 1):
+                    for sign in Sign:
+                        builds.clear()
+                        s = stabilize_diagram(d, sign, gap, level)
+                        assert not builds
+                        # the full build is the reference for every stored array
+                        assert front_state(s) == front_state(FrontDiagram(s.events))
 
     def test_bad_hints(self):
         d = parse_front("L 1\nR 1")

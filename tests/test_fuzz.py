@@ -5,6 +5,8 @@ grammar, so that both the rejection paths and the accepted results are
 exercised.  Every accepted front is also checked against the definitions
 of its invariants and stabilized at a drawn hint, and every integer any
 parser accepts is written in ASCII decimal digits with an optional '-'.
+Chains of stabilizations from the trefoil fronts are checked against a
+full build of each front they reach.
 """
 
 import re
@@ -13,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import RIGHT_TREFOIL_PEAK_WORD, TREFOIL_WORD, front_state, three_colorings
 from legknot.bypass import make_config
 from legknot.classify import Sign, parse_knot
 from legknot.errors import LegknotError, NoSuchStrand, decimal
-from legknot.front import invariants, parse_front, stabilize_diagram
+from legknot.front import FrontDiagram, invariants, parse_front, stabilize_diagram
 from legknot.lattice import parse_slope
 from legknot.transversal import parse_cables
 
@@ -128,6 +131,22 @@ def test_parse_front_text(text, hint):
 @given(_front_bytes, _hints)
 def test_parse_front_bytes(data, hint):
     _check_front(data, hint)
+
+
+@FUZZ
+@given(st.sampled_from([TREFOIL_WORD, RIGHT_TREFOIL_PEAK_WORD]), st.data())
+def test_stabilization_chain_matches_full_builds(word, data):
+    d = parse_front(word)
+    colorings = three_colorings(d)
+    for _ in range(data.draw(st.integers(1, 40))):
+        profile = d.strand_profile()
+        gap = data.draw(st.sampled_from([g for g, n in enumerate(profile) if n]))
+        level = data.draw(st.integers(1, profile[gap]))
+        d = stabilize_diagram(d, data.draw(st.sampled_from(Sign)), gap, level)
+        assert front_state(d) == front_state(FrontDiagram(d.events))
+        # reads the traversal and the crossings, so a relabelling that is
+        # consistent but wrong changes the count
+        assert three_colorings(d) == colorings
 
 
 _slopes = st.one_of(
