@@ -49,6 +49,12 @@ first move.  With D the largest Farey depth among the slopes of the
 representative, a triangle takes D moves, one fewer when its minimum is
 at least 1; a one-class configuration takes one move more than the
 triangle it expands to; and reducing extra closed curves adds one.
+
+:func:`normalize` places the start in the window once and then walks the
+representative itself: every flip and expansion lands on its own
+representative, and the gateway move lands on M({0, 1, inf}) =
+{1/2, 2/3, 1}, where the walk ends.  Each move keeps two slopes, so the
+trace maps only the new one back by the inverse power.
 """
 
 from __future__ import annotations
@@ -101,7 +107,6 @@ __all__ = [
     "destabilizing_moves",
     "apply_move",
     "normalize",
-    "find_destabilization",
 ]
 
 _TIGHT_TRIANGLE = (ONE, Slope(2, 1), INF)
@@ -295,19 +300,26 @@ def _canonical(c: DividingConfig) -> tuple[int, DividingConfig]:
     finds k in O(log k) evaluations: downward from 0 when the slopes of c
     all lie in [1/2, 1], upward otherwise.
     """
-    images = {0: c}
+    vectors = [s.vector() for s in c.slopes]
+    powers = {0: ((1, 0), (0, 1))}
 
-    def inside(k):  # every slope in [1/2, 1]
-        if k not in images:
-            images[k] = monodromy_config(c, k)
-        slopes = images[k].slopes
-        return _HALF <= slopes[0] and slopes[-1] <= ONE
+    def inside(k):  # every slope in [1/2, 1], read off the image vectors
+        if k not in powers:
+            powers[k] = monodromy_matrix(k)
+        (a, b), (p, q) = powers[k]
+        for v in vectors:
+            x, y = a * v.x + b * v.y, p * v.x + q * v.y
+            if x < 0:
+                x, y = -x, -y
+            if x == 0 or not y <= x <= 2 * y:  # the slope y/x
+                return False
+        return True
 
     if inside(0):
         shift = _first_failure(inside, 0, -1)
     else:
         shift = _first_failure(lambda k: not inside(k), 0, 1) - 1
-    return shift, images[shift]
+    return shift, _map_slopes(c, powers[shift]) if shift else c
 
 
 def _first_failure(holds, start: int, step: int) -> int:
@@ -353,29 +365,30 @@ def _expand(slope: Slope):
     return (slope, *farey_parents(slope))
 
 
+def _first_move(rep):
+    """The preferred transition on a representative that is not terminal,
+    as (tag, annulus slope, resulting configuration)."""
+    low, high = rep[0], rep[-1]
+    if len(rep) == 1:
+        tag, annulus, tri = MoveTag.EXPAND_FROM_I, low, _expand(low)
+    elif low >= ONE or high <= _HALF:  # above or below the fixed slope
+        tri, tag = _flip(rep)
+        annulus = low if low >= ONE else high
+    else:  # straddling, so rep is the gateway {0, 1/2, 1}: replace the minimum
+        tag, annulus, tri = MoveTag.CASE_THREE_B, high, (rep[1], mediant(rep[1], high), high)
+    return tag, annulus, type_iii(tri, (1, 1, 1))
+
+
 def _analyze3(c: DividingConfig):
     """Terminal outcome (or None) and legal transitions of a three-arc
     configuration, as (outcome, ((move, result), ...)) in c's frame."""
     shift, frame = _canonical(c)
     rep = frame.slopes
-    low, high = rep[0], rep[-1]
-    if c.kind is ConfigKind.I:
-        moves = [(MoveTag.EXPAND_FROM_I, low, type_iii(_expand(low), (1, 1, 1)))]
-    elif rep == _TIGHT_TRIANGLE:
-        return OutcomeKind.STANDARD_TIGHT, ()
-    elif rep == _OVERTWISTED_TRIANGLE:
-        return OutcomeKind.OVERTWISTED, ()
-    elif low >= ONE:  # above the fixed slope
-        flipped, tag = _flip(rep)
-        moves = [(tag, low, type_iii(flipped, (1, 1, 1))),
-                 (MoveTag.COLLAPSE_TO_I, low, type_i(low, 3, 1))]
-    elif high <= _HALF:  # below the fixed slope
-        flipped, tag = _flip(rep)
-        moves = [(tag, high, type_iii(flipped, (1, 1, 1)))]
-    else:  # straddling, so rep is the gateway {0, 1/2, 1}: replace the minimum
-        mid = rep[1]
-        moves = [(MoveTag.CASE_THREE_B, high,
-                  type_iii((mid, mediant(mid, high), high), (1, 1, 1)))]
+    if rep in (_TIGHT_TRIANGLE, _OVERTWISTED_TRIANGLE):
+        return _ENDS[rep], ()
+    moves = [_first_move(rep)]
+    if len(rep) == 3 and rep[0] >= ONE:  # above the fixed slope a collapse is legal too
+        moves.append((MoveTag.COLLAPSE_TO_I, rep[0], type_i(rep[0], 3, 1)))
     if shift:  # one matrix maps every move back
         back = monodromy_matrix(-shift)
         moves = [
@@ -444,17 +457,20 @@ class OutcomeKind(Enum):
     DESTABILIZES = "destabilizes"
 
 
+# where normalize's walk ends: the two terminal representatives, and
+# M(0, 1, inf), which the gateway move reaches
+_ENDS = {
+    _TIGHT_TRIANGLE: OutcomeKind.STANDARD_TIGHT,
+    _OVERTWISTED_TRIANGLE: OutcomeKind.OVERTWISTED,
+    (_HALF, Slope(2, 3), ONE): OutcomeKind.OVERTWISTED,
+}
+
+
 @dataclass(frozen=True)
 class NormalizationOutcome:
     kind: OutcomeKind
     trace: tuple[str, ...]
     steps: int
-
-
-def _move_line(move: Move, before: DividingConfig, after: DividingConfig) -> str:
-    before_s = ",".join(str(s) for s in before.slopes)
-    after_s = ",".join(str(s) for s in after.slopes)
-    return "%s %s->%s" % (move.tag.value, before_s, after_s)
 
 
 def _destabilization(c: DividingConfig) -> NormalizationOutcome:
@@ -508,23 +524,19 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
     if count > MAX_ROWS:
         raise Unsupported("%s takes %d moves, more than the cap of %d" % (c, count, MAX_ROWS))
 
-    # step in the canonical frame, so each step's window search is short,
-    # and map only the trace back to the input's frame, by one matrix
-    back = monodromy_matrix(-shift)
-    terminal, moves = _analyze3(frame)
-    while terminal is None and len(trace) < count:
-        move, frame = moves[0]
-        result = _map_slopes(frame, back)
-        trace.append(_move_line(move, current, result))
-        current = result
-        terminal, moves = _analyze3(frame)
-    if terminal is None or len(trace) != count:
+    back = monodromy_matrix(-shift) if shift else None
+    rep, mapped = frame.slopes, {}
+    before = ",".join(str(s) for s in current.slopes)
+    while rep not in _ENDS and len(trace) < count:
+        tag, _, result = _first_move(rep)
+        rep = slopes = result.slopes
+        if back is not None:  # a move keeps two slopes, so map back only the new one
+            mapped = {s: mapped.get(s) or slope_of_vector(apply_matrix(back, s.vector()))
+                      for s in rep}
+            slopes = sorted(mapped.values())
+        after = ",".join(str(s) for s in slopes)
+        trace.append("%s %s->%s" % (tag.value, before, after))
+        before = after
+    if rep not in _ENDS or len(trace) != count:
         raise NonTermination("the walk from %s disagrees with its count of %d moves" % (c, count))
-    return NormalizationOutcome(terminal, tuple(trace), count)
-
-
-def find_destabilization(c: DividingConfig) -> NormalizationOutcome:
-    """Locate a destabilizing bypass for a configuration with > 3 arcs."""
-    if c.arcs() <= 3:
-        raise Unsupported("destabilization search needs more than three arcs")
-    return _destabilization(c)
+    return NormalizationOutcome(_ENDS[rep], tuple(trace), count)

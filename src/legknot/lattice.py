@@ -51,7 +51,6 @@ __all__ = [
     "apply_matrix",
     "monodromy_vec",
     "monodromy_apply",
-    "slope_in_range",
     "farey_parents",
     "farey_depth",
 ]
@@ -109,8 +108,7 @@ class Slope:
             return str(self.num)
         return "%d/%d" % (self.num, self.den)
 
-    # Total order with inf largest; wraparound intervals are handled by
-    # slope_in_range, not by these comparisons.
+    # Total order with inf largest.
     def _cmp(self, other: "Slope") -> int:
         if self.is_inf and other.is_inf:
             return 0
@@ -287,23 +285,6 @@ def monodromy_apply(s: Slope, k: int = 1) -> Slope:
     if k == 0:
         return s
     return slope_of_vector(monodromy_vec(s.vector(), k))
-
-
-def slope_in_range(s: Slope, s0: Slope, s1: Slope) -> bool:
-    """True iff s lies in [s1, s0] on the circle of slopes.
-
-    When s0 < s1 the interval wraps: it means [s1, inf] union [-inf, s0],
-    with inf the single point gluing the two ends of the line.
-    """
-    if s0 == s1:
-        raise DegenerateEdge("interval endpoints coincide at %s" % s0)
-    if s1.is_inf:  # [inf, s0]: wrap through -inf up to s0
-        return s.is_inf or s <= s0
-    if s0.is_inf:  # [s1, inf]
-        return s.is_inf or s >= s1
-    if s1 <= s0:
-        return (not s.is_inf) and s1 <= s <= s0
-    return s.is_inf or s >= s1 or s <= s0
 
 
 def farey_parents(s: Slope) -> tuple[Slope, Slope]:

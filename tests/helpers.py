@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from legknot.bypass import MoveTag
+from legknot.bypass import ConfigKind, MoveTag, apply_move, legal_moves, type_i
 from legknot.classify import KnotType, Peak, Sign, max_tb
 from legknot.convex import DiskChordDiagram
 from legknot.front import FrontDiagram, FrontEvent, invariants, parse_front, stabilize_diagram
@@ -327,6 +327,28 @@ def stepwise_window(slopes):
         current = tuple(sorted(_step(s, -1) for s in current))
         shift -= 1
     return shift, current
+
+
+def plain_walk(c):
+    """Take the first legal move until none is left, with the closed-curve
+    reduction first; return the end configuration and the trace.
+
+    Each step goes through legal_moves and apply_move, which search the
+    canonical window afresh, so this walk does not share the single
+    window search of normalize."""
+    trace = []
+    if c.kind is ConfigKind.I and c.closed > 1:
+        trace.append("ReduceClosed %dc->1c" % c.closed)
+        c = type_i(c.slopes[0], c.mults[0], 1)
+    while moves := legal_moves(c):
+        after = apply_move(c, moves[0])
+        trace.append("%s %s->%s" % (
+            moves[0].tag.value,
+            ",".join(str(s) for s in c.slopes),
+            ",".join(str(s) for s in after.slopes),
+        ))
+        c = after
+    return c, tuple(trace)
 
 
 def neg_cf_value(cf) -> Fraction:

@@ -8,6 +8,7 @@ from helpers import (
     TIGHT_TRIANGLE,
     farey_triangles_to_depth,
     fixed_side,
+    plain_walk,
     same_orbit,
     stepwise_window,
     sum_vertex,
@@ -25,7 +26,6 @@ from legknot.bypass import (
     apply_move,
     config_tb,
     destabilizing_moves,
-    find_destabilization,
     legal_moves,
     make_config,
     monodromy_config,
@@ -341,7 +341,10 @@ class TestNormalize:
 def _starts():
     """Triangles to depth 8 on both sides of 0, and one arc class with 1 and
     3 closed curves on the slopes of the triangles to depth 6, under
-    shifts cycling through -3..3."""
+    shifts cycling through -3..3; then far shifts: 100 triangles to depth
+    10 under shifts +-100 and +-150, the same one-class slopes under
+    shifts cycling through -20..20, and three starts whose back-maps carry
+    a slope across inf, which reorders the sorted slopes of a trace line."""
     starts = [
         monodromy_config(type_iii(tri, (1, 1, 1)), i % 7 - 3)
         for i, tri in enumerate(farey_triangles_to_depth(8))
@@ -352,25 +355,18 @@ def _starts():
         for i, s in enumerate(slopes)
         for closed in (1, 3)
     ]
+    rng = random.Random(20000611)
+    for tri in rng.sample(farey_triangles_to_depth(10), 100):
+        starts += [monodromy_config(type_iii(tri, (1, 1, 1)), k) for k in (100, -100, 150, -150)]
+    starts += [
+        monodromy_config(type_i(s, 3, closed), (2 * i + closed) % 41 - 20)
+        for i, s in enumerate(slopes)
+        for closed in (1, 3)
+    ]
+    starts += [make_config(spec) for spec in (
+        "III:-8/5,-5/3,-3/2", "III:inf,-3,-4", "III:-377/233,-233/144,-144/89",
+    )]
     return starts
-
-
-def _plain_walk(c):
-    """Take the first legal move until none is left, with the closed-curve
-    reduction first; return the end configuration and the trace."""
-    trace = []
-    if c.kind is ConfigKind.I and c.closed > 1:
-        trace.append("ReduceClosed %dc->1c" % c.closed)
-        c = type_i(c.slopes[0], c.mults[0], 1)
-    while moves := legal_moves(c):
-        after = apply_move(c, moves[0])
-        trace.append("%s %s->%s" % (
-            moves[0].tag.value,
-            ",".join(str(s) for s in c.slopes),
-            ",".join(str(s) for s in after.slopes),
-        ))
-        c = after
-    return c, tuple(trace)
 
 
 class TestMoveCount:
@@ -380,7 +376,7 @@ class TestMoveCount:
         assert any(s.num < 0 for c in starts for s in c.slopes)
         for c in starts:
             out = normalize(c)
-            end, trace = _plain_walk(c)
+            end, trace = plain_walk(c)
             assert (out.trace, out.steps) == (trace, len(trace)), c
             tight = out.kind is OutcomeKind.STANDARD_TIGHT
             assert same_orbit(end.slopes, TIGHT_TRIANGLE if tight else OVERTWISTED_TRIANGLE), c
@@ -456,9 +452,10 @@ class TestMoveCount:
                 normalize(c)
 
     def test_cli_refusals_take_no_move(self, monkeypatch, capsys):
-        calls = []
-        analyze = bypass._analyze3
-        monkeypatch.setattr(bypass, "_analyze3", lambda c: calls.append(c) or analyze(c))
+        searches, analyzed = [], []
+        canonical, analyze = bypass._canonical, bypass._analyze3
+        monkeypatch.setattr(bypass, "_canonical", lambda c: searches.append(c) or canonical(c))
+        monkeypatch.setattr(bypass, "_analyze3", lambda c: analyzed.append(c) or analyze(c))
         assert cli.main(["bypass-normalize", "III:0,1/1000000000,1/999999999"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
@@ -466,17 +463,26 @@ class TestMoveCount:
         assert cli.main(["bypass-normalize", "III:1/4,2/7,1/3", "--step-limit", "3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert calls == []
-        assert cli.main(["bypass-normalize", "III:1/4,2/7,1/3", "--step-limit", "4"]) == 0
-        assert len(calls) == 5  # four moves, then the terminal check
+        # each refusal searches the window once, for the count, and moves nowhere
+        assert len(searches) == 2 and analyzed == []
+        searches.clear()
+        assert cli.main(["bypass-normalize", "III:0,1/1000,1/999"]) == 0
+        assert "\nsteps=999\n" in capsys.readouterr().out
+        # the window is searched once per walk, not once per move
+        assert len(searches) <= 2
 
 
 class TestFindDestabilization:
+    """normalize finds the destabilization of every configuration with more
+    than three arcs, and of no other."""
+
     def test_examples(self):
-        assert find_destabilization(make_config("I:infx5+1c")).kind is OutcomeKind.DESTABILIZES
-        assert find_destabilization(make_config("II:1x2,infx2")).kind is OutcomeKind.DESTABILIZES
-        assert find_destabilization(make_config("III:1x1,2x1,infx3")).kind is OutcomeKind.DESTABILIZES
+        for spec, annulus in (("I:infx5+1c", "inf"), ("II:1x2,infx2", "1"),
+                              ("III:1x1,2x1,infx3", "1")):
+            out = normalize(make_config(spec))
+            assert out.kind is OutcomeKind.DESTABILIZES and out.steps == 1
+            assert out.trace[0].startswith("Destabilizing annulus=%s " % annulus)
 
     def test_requires_more_than_three_arcs(self):
-        with pytest.raises(Unsupported):
-            find_destabilization(make_config(TIGHT))
+        assert destabilizing_moves(make_config(TIGHT)) == []
+        assert normalize(make_config(TIGHT)).kind is not OutcomeKind.DESTABILIZES

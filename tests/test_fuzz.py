@@ -6,7 +6,8 @@ exercised.  Every accepted front is also checked against the definitions
 of its invariants and stabilized at a drawn hint, and every integer any
 parser accepts is written in ASCII decimal digits with an optional '-'.
 Chains of stabilizations from the trefoil fronts are checked against a
-full build of each front they reach.
+full build of each front they reach, and normalize on random Farey
+triangles under far monodromy shifts against the walk of public moves.
 """
 
 import re
@@ -15,12 +16,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RIGHT_TREFOIL_PEAK_WORD, TREFOIL_WORD, front_state, three_colorings
-from legknot.bypass import make_config
+from helpers import (
+    OVERTWISTED_TRIANGLE,
+    RIGHT_TREFOIL_PEAK_WORD,
+    TIGHT_TRIANGLE,
+    TREFOIL_WORD,
+    front_state,
+    plain_walk,
+    same_orbit,
+    three_colorings,
+)
+from legknot.bypass import OutcomeKind, make_config, monodromy_config, normalize, type_iii
 from legknot.classify import Sign, parse_knot
 from legknot.errors import LegknotError, NoSuchStrand, decimal
 from legknot.front import FrontDiagram, invariants, parse_front, stabilize_diagram
-from legknot.lattice import parse_slope
+from legknot.lattice import INF, ONE, ZERO, mediant, parse_slope
 from legknot.transversal import parse_cables
 
 FUZZ = settings(database=None, derandomize=True, deadline=None)
@@ -147,6 +157,28 @@ def test_stabilization_chain_matches_full_builds(word, data):
         # reads the traversal and the crossings, so a relabelling that is
         # consistent but wrong changes the count
         assert three_colorings(d) == colorings
+
+
+@st.composite
+def _farey_triangles(draw, max_depth=12):
+    """A triangle of the tessellation: a base triangle, then up to
+    max_depth times one edge kept and the mediant of its ends added."""
+    tri = draw(st.sampled_from([(ZERO, ONE, INF), (parse_slope("-1"), ZERO, INF)]))
+    for drop in draw(st.lists(st.integers(0, 2), max_size=max_depth)):
+        j, k = [tri[i] for i in range(3) if i != drop]
+        tri = (j, k, mediant(j, k))
+    return tri
+
+
+@FUZZ
+@given(_farey_triangles(), st.integers(-200, 200))
+def test_normalize_matches_the_plain_walk(tri, shift):
+    c = monodromy_config(type_iii(tri, (1, 1, 1)), shift)
+    out = normalize(c)
+    end, trace = plain_walk(c)
+    assert (out.trace, out.steps) == (trace, len(trace))
+    tight = out.kind is OutcomeKind.STANDARD_TIGHT
+    assert same_orbit(end.slopes, TIGHT_TRIANGLE if tight else OVERTWISTED_TRIANGLE)
 
 
 _slopes = st.one_of(

@@ -25,7 +25,6 @@ from legknot.lattice import (
     neg_cf_blocks,
     parse_slope,
     reduce_slope,
-    slope_in_range,
     slope_of_vector,
     triangle_completions,
 )
@@ -217,26 +216,6 @@ class TestMonodromy:
             for _ in range(4):
                 s = monodromy_apply(s)
             assert S("1/2") < s < ONE
-
-
-class TestSlopeInRange:
-    def test_plain_interval(self):
-        assert slope_in_range(S("-5/2"), S("-2"), S("-3"))
-
-    def test_wraparound(self):
-        assert slope_in_range(S("2"), S("-1/2"), ONE)
-        assert not slope_in_range(ZERO, S("-1/2"), ONE)
-
-    def test_infinity_cases(self):
-        assert slope_in_range(INF, S("-1/2"), ONE)
-        assert not slope_in_range(INF, S("-2"), S("-3"))
-        assert slope_in_range(S("5"), INF, S("2"))  # [2, inf]
-        assert not slope_in_range(S("-9"), INF, S("2"))
-        assert slope_in_range(S("-9"), S("2"), INF)  # [inf, 2] wraps below
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateEdge):
-            slope_in_range(ZERO, ONE, ONE)
 
 
 class TestParentsAndDepth:
