@@ -12,11 +12,12 @@ from fractions import Fraction
 
 from legknot import is_farey_edge, mediant, neg_cf, parse_slope
 from legknot.convex import tight_count
-from legknot.lattice import triangle_completions
+from legknot.lattice import slope_of_vector
 
 s, t = parse_slope("1/2"), parse_slope("1/3")
 print("Is (1/2, 1/3) a tessellation edge?", is_farey_edge(s, t))
-print("Its two completing vertices:", tuple(str(u) for u in triangle_completions(s, t)))
+difference = slope_of_vector(s.vector() - t.vector())
+print("Its two completing vertices:", (str(mediant(s, t)), str(difference)))
 print("Mediant chain from (0, 1):")
 lo, hi = parse_slope("0"), parse_slope("1")
 for _ in range(5):

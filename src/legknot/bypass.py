@@ -380,12 +380,12 @@ def _first_move(rep):
 
 
 def _analyze3(c: DividingConfig):
-    """Terminal outcome (or None) and legal transitions of a three-arc
-    configuration, as (outcome, ((move, result), ...)) in c's frame."""
+    """Legal transitions of a three-arc configuration, as
+    ((move, result), ...) in c's frame; none from a terminal one."""
     shift, frame = _canonical(c)
     rep = frame.slopes
     if rep in (_TIGHT_TRIANGLE, _OVERTWISTED_TRIANGLE):
-        return _ENDS[rep], ()
+        return ()
     moves = [_first_move(rep)]
     if len(rep) == 3 and rep[0] >= ONE:  # above the fixed slope a collapse is legal too
         moves.append((MoveTag.COLLAPSE_TO_I, rep[0], type_i(rep[0], 3, 1)))
@@ -395,7 +395,7 @@ def _analyze3(c: DividingConfig):
             (tag, slope_of_vector(apply_matrix(back, annulus.vector())), _map_slopes(result, back))
             for tag, annulus, result in moves
         ]
-    return None, tuple((Move(tag, annulus), result) for tag, annulus, result in moves)
+    return tuple((Move(tag, annulus), result) for tag, annulus, result in moves)
 
 
 def _has_transitions(c: DividingConfig) -> bool:
@@ -414,7 +414,7 @@ def legal_moves(c: DividingConfig) -> list[Move]:
     """
     if not _has_transitions(c):
         return []
-    return [move for move, _ in _analyze3(c)[1]]
+    return [move for move, _ in _analyze3(c)]
 
 
 def destabilizing_moves(c: DividingConfig) -> list[DestabilizingMove]:
@@ -445,7 +445,7 @@ def apply_move(c: DividingConfig, move) -> DividingConfig | DestabilizationFound
         return DestabilizationFound(move, c.arcs(), c.arcs() - 2)
     if not _has_transitions(c):
         raise IllegalMove("no transitions on %s" % c)
-    for candidate, result in _analyze3(c)[1]:
+    for candidate, result in _analyze3(c):
         if candidate == move:
             return result
     raise IllegalMove("%r is not legal on %s" % (move, c))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Unsupported, ZeroIntersection
-from .lattice import IntegralVector, Slope, farey_det, neg_cf_blocks, reduce_slope
+from .lattice import IntegralVector, Slope, farey_det, neg_cf_blocks
 
 __all__ = [
     "TorusDividingSet",
@@ -33,7 +33,6 @@ __all__ = [
     "torus_tb",
     "disk_rotation_set",
     "tight_count",
-    "torus_bypass_step",
 ]
 
 
@@ -49,21 +48,16 @@ class TorusDividingSet:
             raise Unsupported("a dividing set has at least one curve pair")
 
 
-def twist_from_dividing(
-    curve: IntegralVector, d: TorusDividingSet, allow_parallel: bool = False
-) -> int:
+def twist_from_dividing(curve: IntegralVector, d: TorusDividingSet) -> int:
     """Twist of a curve on the torus: minus half its dividing-set count.
 
     The curve class must be primitive.  A class parallel to the dividing
-    slope meets it zero times; that degenerate case raises unless
-    ``allow_parallel`` asks for the flagged twist-0 answer.
+    slope meets it zero times, and that degenerate case raises.
     """
     if not curve.is_primitive():
         raise Unsupported("curve class %r is not primitive" % (curve,))
     det = farey_det(curve, d.slope.vector())
     if det == 0:
-        if allow_parallel:
-            return 0
         raise ZeroIntersection(
             "curve class is parallel to the dividing slope %s" % d.slope
         )
@@ -146,20 +140,3 @@ def tight_count(p: int, q: int) -> int:
     for r, _ in blocks[:-1]:
         count *= -r - 1
     return count
-
-
-def torus_bypass_step(arg: int | Slope) -> Slope:
-    """Dividing slope after one bypass in the -1/m normal form.
-
-    Accepts the integer m >= 1 or the slope -1/m itself and returns
-    -1/(m+1).  Inputs outside this normal form are out of scope.
-    """
-    if isinstance(arg, Slope):
-        if arg.num != -1 or arg.den < 1:
-            raise Unsupported("bypass step is stated only for slopes -1/m")
-        m = arg.den
-    else:
-        m = arg
-        if m < 1:
-            raise Unsupported("bypass step needs m >= 1")
-    return reduce_slope(-1, m + 1)

@@ -115,28 +115,18 @@ class FrontDiagram:
         """Walk the knot once; record each strand's horizontal direction."""
         direction = [0] * len(right_partner)
         sid, d = 1, +1  # lower branch of the first left cusp, moving rightward
-        cycle = []
         while not direction[sid]:
             direction[sid] = d
-            cycle.append((sid, d))
             sid = right_partner[sid] if d == +1 else sid ^ 1
             d = -d
-        if len(cycle) != len(direction):
+        if 0 in direction:
             raise MultiComponent(
                 "front has more than one component (%d of %d strands traced)"
-                % (len(cycle), len(direction))
+                % (len(direction) - direction.count(0), len(direction))
             )
         self._direction = direction
-        self.traversal_cycle = tuple(cycle)
 
     # counts -----------------------------------------------------------
-
-    def strand_profile(self) -> list[int]:
-        """Strand count after each event prefix (len(events) + 1 entries)."""
-        counts = [0]
-        for ev in self.events:
-            counts.append(counts[-1] + (2 if ev.kind == "L" else -2 if ev.kind == "R" else 0))
-        return counts
 
     def cusp_counts(self, reverse_orientation: bool = False) -> tuple[int, int]:
         """(downward, upward) cusp counts for the stored orientation."""
@@ -261,10 +251,6 @@ def stabilize_diagram(
     out = object.__new__(FrontDiagram)
     out.events = d.events[:gap] + zigzag + d.events[gap:]
     out._direction = d._direction[:sid] + ([-ds, ds] if up else [ds, -ds]) + d._direction[sid:]
-    cycle = [(new_id[t], dt) for t, dt in d.traversal_cycle]
-    i = d.traversal_cycle.index((s, ds))
-    cycle[i:i + 1] = ((s, ds), (mid, -ds), (cont, ds))[::ds]  # in the direction of travel
-    out.traversal_cycle = tuple(cycle)
     new_id[s] = cont
     uppers = d._right_uppers
     out._right_uppers = uppers[:rights] + [s if up else mid]

@@ -37,19 +37,16 @@ __all__ = [
     "INF",
     "ZERO",
     "ONE",
-    "MONODROMY_MATRIX",
     "reduce_slope",
     "parse_slope",
     "slope_of_vector",
     "farey_det",
     "is_farey_edge",
     "mediant",
-    "triangle_completions",
     "neg_cf_blocks",
     "neg_cf",
     "monodromy_matrix",
     "apply_matrix",
-    "monodromy_vec",
     "monodromy_apply",
     "farey_parents",
     "farey_depth",
@@ -137,10 +134,6 @@ INF = Slope(1, 0)
 ZERO = Slope(0, 1)
 ONE = Slope(1, 1)
 
-#: The monodromy matrix of the punctured-torus fibration, acting by
-#: (x, y) -> (2x + y, x + y).  Determinant 1.
-MONODROMY_MATRIX = ((2, 1), (1, 1))
-
 
 def reduce_slope(num: int, den: int) -> Slope:
     """Canonical reduced slope; (k, 0) maps to inf for any k != 0."""
@@ -190,32 +183,15 @@ def is_farey_edge(s: Slope, t: Slope) -> bool:
     return abs(farey_det(s.vector(), t.vector())) == 1
 
 
-def _require_edge(s: Slope, t: Slope) -> None:
-    if not is_farey_edge(s, t):
-        raise NotAnEdge("%s and %s are not joined in the tessellation" % (s, t))
-
-
 def mediant(s: Slope, t: Slope) -> Slope:
     """Component-wise sum of the canonical primitive representatives.
 
     For a Farey edge the sum of the two basis vectors is itself
     primitive, so no reduction step is actually needed.
     """
-    _require_edge(s, t)
+    if not is_farey_edge(s, t):
+        raise NotAnEdge("%s and %s are not joined in the tessellation" % (s, t))
     return slope_of_vector(s.vector() + t.vector())
-
-
-def triangle_completions(s: Slope, t: Slope) -> tuple[Slope, Slope]:
-    """The two vertices completing the edge (s, t) into a triangle.
-
-    Returns (mediant, difference); each is joined to both s and t.  The
-    ordering is fixed for determinism.
-    """
-    _require_edge(s, t)
-    return (
-        slope_of_vector(s.vector() + t.vector()),
-        slope_of_vector(s.vector() - t.vector()),
-    )
 
 
 def _regular_cf(p: int, q: int) -> list[int]:
@@ -275,16 +251,11 @@ def apply_matrix(
     return IntegralVector(a * v.x + b * v.y, c * v.x + d * v.y)
 
 
-def monodromy_vec(v: IntegralVector, k: int = 1) -> IntegralVector:
-    """Apply the k-th power of the monodromy matrix to a vector."""
-    return apply_matrix(monodromy_matrix(k), v)
-
-
 def monodromy_apply(s: Slope, k: int = 1) -> Slope:
     """Slope of the k-th monodromy power applied to the class of s."""
     if k == 0:
         return s
-    return slope_of_vector(monodromy_vec(s.vector(), k))
+    return slope_of_vector(apply_matrix(monodromy_matrix(k), s.vector()))
 
 
 def farey_parents(s: Slope) -> tuple[Slope, Slope]:

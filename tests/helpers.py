@@ -1,13 +1,14 @@
 """Shared independent oracles for the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-colorings come from the diagram's crossing relations, tight-structure
-counts from shortest paths in the Farey graph, triangle enumeration
-from raw mediant subdivision, realizability from a scan over every
-peak's stabilization cone, disk rotation sets from every non-crossing
-chord diagram, monodromy powers from repeated matrix products, the
-canonical window from a walk of single monodromy steps, and bypass flips
-from the vertex whose vector is the sum of the other two.
+colorings come from crossing relations traced from the event word, not
+from the diagram's stored orientation; tight-structure counts from
+shortest paths in the Farey graph, triangle enumeration from raw mediant
+subdivision, realizability from a scan over every peak's stabilization
+cone, disk rotation sets from every non-crossing chord diagram,
+monodromy powers from repeated matrix products, the canonical window
+from a walk of single monodromy steps, and bypass flips from the vertex
+whose vector is the sum of the other two.
 """
 
 from __future__ import annotations
@@ -31,23 +32,49 @@ from legknot.lattice import (
     monodromy_apply,
     reduce_slope,
     slope_of_vector,
-    triangle_completions,
 )
+
+
+def strand_profile(d: FrontDiagram) -> list[int]:
+    """Strand count after each event prefix (len(d.events) + 1 entries)."""
+    counts = [0]
+    for ev in d.events:
+        counts.append(counts[-1] + {"L": 2, "R": -2}.get(ev.kind, 0))
+    return counts
 
 
 def three_colorings(d: FrontDiagram) -> int:
     """Number of Fox 3-colorings of the underlying knot diagram.
 
     3 means trivially colored only; a 3-crossing diagram with 9 colorings
-    is a trefoil.  Uses only the traversal and the crossing list.
+    is a trefoil.  The knot is traced here from the event word alone:
+    strands are numbered by position as the word opens them, right cusps
+    pair them up, and at each X the strand descending from position i to
+    i + 1 passes over.
     """
-    passages = {sid: [] for sid, _ in d.traversal_cycle}
-    for k, (over, under) in enumerate(d._crossings):  # event order
-        passages[over].append((k, "over"))
-        passages[under].append((k, "under"))
-    stream = []
-    for sid, direction in d.traversal_cycle:
-        stream.extend(passages[sid] if direction == +1 else reversed(passages[sid]))
+    active, right_partner, passages, sid = [], {}, {}, 0
+    for k, ev in enumerate(d.events):
+        i = ev.level - 1
+        if ev.kind == "L":
+            active[i:i] = [sid, sid + 1]
+            passages[sid], passages[sid + 1] = [], []
+            sid += 2
+            continue
+        top, bottom = active[i], active[i + 1]
+        if ev.kind == "R":
+            right_partner[top], right_partner[bottom] = bottom, top
+            del active[i:i + 2]
+        else:
+            passages[top].append((k, "over"))
+            passages[bottom].append((k, "under"))
+            active[i], active[i + 1] = bottom, top
+    # walk rightward along strand 1 to its right cusp, leftward back along
+    # its partner to a left cusp, and so on: one component visits all strands
+    stream, strand, rightward = [], 1, True
+    for _ in range(sid):
+        stream.extend(passages[strand] if rightward else reversed(passages[strand]))
+        strand = right_partner[strand] if rightward else strand ^ 1
+        rightward = not rightward
     under_positions = [i for i, (_, role) in enumerate(stream) if role == "under"]
     if not under_positions:
         return 3
@@ -169,6 +196,12 @@ def _neighbors_in_window(s: Slope, p: int, q: int) -> list[Slope]:
     return out
 
 
+def edge_completions(s: Slope, t: Slope) -> set[Slope]:
+    """The two vertices completing the Farey edge (s, t) into a triangle:
+    the mediant and the slope of the difference vector."""
+    return {mediant(s, t), slope_of_vector(s.vector() - t.vector())}
+
+
 def tight_count_by_paths(p: int, q: int) -> int:
     """Independent tight-structure count via decorated Farey paths.
 
@@ -208,9 +241,7 @@ def tight_count_by_paths(p: int, q: int) -> int:
     # maximal pivoted runs: consecutive edges sharing a triangle apex
     runs = [1]
     for i in range(1, len(edges)):
-        left = set(triangle_completions(*edges[i - 1]))
-        right = set(triangle_completions(*edges[i]))
-        if left & right:
+        if edge_completions(*edges[i - 1]) & edge_completions(*edges[i]):
             runs[-1] += 1
         else:
             runs.append(1)
@@ -379,7 +410,7 @@ def random_valid_diagrams(count: int, seed: int = 20200615):
     while len(out) < count:
         d = parse_front(rng.choice(_SEED_WORDS))
         for _ in range(rng.randrange(0, 5)):
-            profile = d.strand_profile()
+            profile = strand_profile(d)
             gaps = [g for g, n in enumerate(profile) if n > 0]
             gap = rng.choice(gaps)
             level = rng.randrange(1, profile[gap] + 1)
@@ -391,11 +422,11 @@ def random_valid_diagrams(count: int, seed: int = 20200615):
 
 def front_state(d: FrontDiagram):
     """Everything a diagram stores, to compare a stabilization with a full build."""
-    return d.events, d._direction, d._right_uppers, d._crossings, d.traversal_cycle
+    return d.events, d._direction, d._right_uppers, d._crossings
 
 
 def random_hints(d: FrontDiagram, rng: random.Random):
-    profile = d.strand_profile()
+    profile = strand_profile(d)
     gaps = [g for g, n in enumerate(profile) if n > 0]
     gap = rng.choice(gaps)
     return gap, rng.randrange(1, profile[gap] + 1)

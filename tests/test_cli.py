@@ -48,6 +48,14 @@ class TestInvariantsCommand:
         code, out = run(capsys, "invariants", str(path), "--knot", "bogus")
         assert code == 1 and out == ""
 
+    def test_two_components_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "front.txt"
+        path.write_text("L 1\nR 1\nL 1\nR 1\n")
+        assert main(["invariants", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: front has more than one component (2 of 4 strands traced)\n"
+
     def test_no_state_between_calls(self, tmp_path, capsys):
         path = tmp_path / "front.txt"
         path.write_text(STABILIZED_UNKNOT_WORD)

@@ -9,6 +9,7 @@ from helpers import (
     front_state,
     random_hints,
     random_valid_diagrams,
+    strand_profile,
     three_colorings,
 )
 from legknot.classify import Sign, torus, unknot
@@ -162,7 +163,7 @@ class TestStabilization:
     def test_every_hint_and_sign(self):
         for d in random_valid_diagrams(40):
             base = invariants(d)
-            for gap, n in enumerate(d.strand_profile()):
+            for gap, n in enumerate(strand_profile(d)):
                 for level in range(1, n + 1):
                     for sign in Sign:
                         s = stabilize_diagram(d, sign, gap, level)
@@ -178,7 +179,7 @@ class TestStabilization:
         build = FrontDiagram._build
         monkeypatch.setattr(FrontDiagram, "_build", lambda self: builds.append(self) or build(self))
         for d in diagrams:
-            for gap, n in enumerate(d.strand_profile()):
+            for gap, n in enumerate(strand_profile(d)):
                 for level in range(1, n + 1):
                     for sign in Sign:
                         builds.clear()

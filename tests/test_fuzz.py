@@ -24,6 +24,7 @@ from helpers import (
     front_state,
     plain_walk,
     same_orbit,
+    strand_profile,
     three_colorings,
 )
 from legknot.bypass import OutcomeKind, make_config, monodromy_config, normalize, type_iii
@@ -124,7 +125,7 @@ def _check_front(data, hint):
     try:
         s = stabilize_diagram(d, sign, gap, level)
     except NoSuchStrand:
-        assert not (0 <= gap <= len(d.events) and 1 <= level <= d.strand_profile()[gap])
+        assert not (0 <= gap <= len(d.events) and 1 <= level <= strand_profile(d)[gap])
         return
     got = invariants(s)
     assert len(s.events) == len(d.events) + 2
@@ -149,13 +150,13 @@ def test_stabilization_chain_matches_full_builds(word, data):
     d = parse_front(word)
     colorings = three_colorings(d)
     for _ in range(data.draw(st.integers(1, 40))):
-        profile = d.strand_profile()
+        profile = strand_profile(d)
         gap = data.draw(st.sampled_from([g for g, n in enumerate(profile) if n]))
         level = data.draw(st.integers(1, profile[gap]))
         d = stabilize_diagram(d, data.draw(st.sampled_from(Sign)), gap, level)
         assert front_state(d) == front_state(FrontDiagram(d.events))
-        # reads the traversal and the crossings, so a relabelling that is
-        # consistent but wrong changes the count
+        # traced from the spliced event word alone, so a zigzag that changed
+        # the knot would change the count
         assert three_colorings(d) == colorings
 
 

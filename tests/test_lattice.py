@@ -4,15 +4,15 @@ from math import gcd
 
 import pytest
 
-from helpers import neg_cf_value, stepwise_monodromy
+from helpers import edge_completions, neg_cf_value, stepwise_monodromy
 from legknot.errors import DegenerateEdge, InvalidFraction, InvalidSlope, NotAnEdge
 from legknot.lattice import (
     INF,
     ONE,
     ZERO,
     IntegralVector,
-    MONODROMY_MATRIX,
     Slope,
+    apply_matrix,
     farey_depth,
     farey_det,
     farey_parents,
@@ -20,13 +20,11 @@ from legknot.lattice import (
     mediant,
     monodromy_apply,
     monodromy_matrix,
-    monodromy_vec,
     neg_cf,
     neg_cf_blocks,
     parse_slope,
     reduce_slope,
     slope_of_vector,
-    triangle_completions,
 )
 
 
@@ -87,10 +85,6 @@ class TestFareyGraph:
         with pytest.raises(NotAnEdge):
             mediant(S("1/3"), S("2/3"))
 
-    def test_completion_examples(self):
-        assert triangle_completions(ONE, INF) == (S("2"), ZERO)
-        assert triangle_completions(ZERO, INF) == (ONE, S("-1"))
-
     def test_completions_by_exhaustive_scan(self):
         # brute-force oracle: completions of an edge are exactly the
         # low-complexity slopes adjacent to both endpoints
@@ -106,9 +100,9 @@ class TestFareyGraph:
                 u for u in universe if u not in (s, t)
                 and is_farey_edge(s, u) and is_farey_edge(t, u)
             }
-            assert set(triangle_completions(s, t)) == found
+            assert edge_completions(s, t) == found
         # frozen value for the 1/2, 1/3 edge: mediant 2/5 and vertex 0
-        assert set(triangle_completions(S("1/2"), S("1/3"))) == {S("2/5"), ZERO}
+        assert edge_completions(S("1/2"), S("1/3")) == {S("2/5"), ZERO}
 
     def test_completions_are_edges_and_contain_mediant(self):
         edges = []
@@ -122,10 +116,10 @@ class TestFareyGraph:
                         edges.append((s, t))
         assert len(edges) > 40
         for s, t in edges:
-            completions = triangle_completions(s, t)
+            completions = edge_completions(s, t)
             for u in completions:
                 assert is_farey_edge(s, u) and is_farey_edge(t, u)
-            assert mediant(s, t) in completions
+            assert len(completions) == 2 and not completions & {s, t}
 
 
 class TestNegCF:
@@ -173,8 +167,7 @@ class TestNegCF:
 
 class TestMonodromy:
     def test_matrix(self):
-        (a, b), (c, d) = MONODROMY_MATRIX
-        assert a * d - b * c == 1
+        assert monodromy_matrix(1) == ((2, 1), (1, 1))
 
     def test_quoted_values(self):
         assert monodromy_apply(INF) == ONE
@@ -193,7 +186,7 @@ class TestMonodromy:
                    IntegralVector(-5, 8)]
         for k in range(-60, 61):
             for v in vectors:
-                assert monodromy_vec(v, k) == stepwise_monodromy(v, k), (v, k)
+                assert apply_matrix(monodromy_matrix(k), v) == stepwise_monodromy(v, k), (v, k)
 
     def test_large_powers_invert(self):
         (a, b), (c, d) = monodromy_matrix(10**4)
@@ -201,7 +194,8 @@ class TestMonodromy:
         assert (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h) == (1, 0, 0, 1)
         assert a * d - b * c == 1 and a.bit_length() > 10**4  # F(20001) > 2^13884
         v = IntegralVector(7, -3)
-        assert monodromy_vec(monodromy_vec(v, 10**4), -(10**4)) == v
+        there = apply_matrix(monodromy_matrix(10**4), v)
+        assert apply_matrix(monodromy_matrix(-(10**4)), there) == v
 
     def test_preserves_edges(self):
         pairs = [(ZERO, INF), (ONE, INF), (S("1/2"), S("2/3")), (S("-1"), ZERO)]

@@ -69,3 +69,24 @@ def test_every_private_name_is_used():
         if name.startswith("_") and not name.startswith("__") and name not in used
     ]
     assert not unused, "private names nothing in src/ refers to: %s" % ", ".join(unused)
+
+
+def test_every_import_is_used():
+    """A module imports only what it loads; __init__ imports are re-exports."""
+    unused = []
+    for path, tree in _modules():
+        if path.name == "__init__.py":
+            continue
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if alias.name != "annotations"
+        }
+        unused += ["%s: %s" % (path.relative_to(SRC), name) for name in sorted(imported - loaded)]
+    assert not unused, "imported names the module never loads: %s" % ", ".join(unused)
