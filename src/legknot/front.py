@@ -21,6 +21,11 @@ and left on its lower branch counts as downward.  Crossing signs are the
 product of the two strands' horizontal directions, which calibrates the word
 [L 1, L 1, X 2, X 2, X 2, R 1, R 1] to writhe +3 (the maximal
 right-trefoil front, tb = 1).
+
+A diagram stores only what these need: the events, each strand's
+direction, the writhe and the downward-cusp count.  A stabilization
+updates the counts without a walk: its zigzag adds no crossing, and its
+two new cusps are both downward exactly when the sign is positive.
 """
 
 from __future__ import annotations
@@ -57,8 +62,10 @@ class FrontDiagram:
     """A validated single-component front.
 
     Construction simulates the event word, checks all level bounds,
-    requires the strand count to close at zero, traces the knot to verify
-    it has exactly one component, and stores the traversal orientation.
+    requires the strand count to close at zero and traces the knot to
+    verify it has exactly one component.  It stores ``events``, each
+    strand's direction in the traversal orientation (``_direction``), the
+    writhe (``_writhe``) and the downward-cusp count (``_down``).
     Instances are immutable in use; build new diagrams instead of
     mutating.
     """
@@ -85,9 +92,8 @@ class FrontDiagram:
                 right_partner += [-1, -1]
             elif ev.kind in ("R", "X"):
                 if not 1 <= ev.level <= n - 1:
-                    raise FrontSyntaxError(
-                        "%s level %d out of range 1..%d" % (ev.kind, ev.level, n - 1)
-                    )
+                    why = "out of range 1..%d" % (n - 1) if n > 1 else "with %d strands alive" % n
+                    raise FrontSyntaxError("%s level %d %s" % (ev.kind, ev.level, why))
                 top, bottom = active[ev.level - 1], active[ev.level]
                 if ev.kind == "R":
                     right_partner[top], right_partner[bottom] = bottom, top
@@ -107,12 +113,14 @@ class FrontDiagram:
         if not right_partner:
             raise FrontSyntaxError("empty diagram")
 
-        self._right_uppers = right_uppers
-        self._crossings = crossings
-        self._trace_orientation(right_partner)
+        direction = self._direction = self._trace_orientation(right_partner)
+        # a right cusp is downward when its upper strand moves rightward, a
+        # left cusp when its upper strand (the even id) moves leftward
+        self._down = direction[::2].count(-1) + [direction[u] for u in right_uppers].count(1)
+        self._writhe = sum(direction[over] * direction[under] for over, under in crossings)
 
-    def _trace_orientation(self, right_partner: list[int]) -> None:
-        """Walk the knot once; record each strand's horizontal direction."""
+    def _trace_orientation(self, right_partner: list[int]) -> list[int]:
+        """Walk the knot once; return each strand's horizontal direction."""
         direction = [0] * len(right_partner)
         sid, d = 1, +1  # lower branch of the first left cusp, moving rightward
         while not direction[sid]:
@@ -124,28 +132,7 @@ class FrontDiagram:
                 "front has more than one component (%d of %d strands traced)"
                 % (len(direction) - direction.count(0), len(direction))
             )
-        self._direction = direction
-
-    # counts -----------------------------------------------------------
-
-    def cusp_counts(self, reverse_orientation: bool = False) -> tuple[int, int]:
-        """(downward, upward) cusp counts for the stored orientation."""
-        sgn = -1 if reverse_orientation else 1
-        # a right cusp is downward when its upper strand moves rightward, a
-        # left cusp when its upper strand (the even id) moves leftward
-        down = self._direction[::2].count(-sgn)
-        down += list(map(self._direction.__getitem__, self._right_uppers)).count(sgn)
-        return down, len(self._direction) - down
-
-    def writhe(self) -> int:
-        """Sum of crossing signs; independent of the global orientation."""
-        return sum(
-            self._direction[over] * self._direction[under]
-            for over, under in self._crossings
-        )
-
-    def right_cusps(self) -> int:
-        return len(self._right_uppers)
+        return direction
 
 
 def parse_front(text) -> FrontDiagram:
@@ -193,20 +180,25 @@ class FrontInvariants:
 
 
 def writhe(d: FrontDiagram) -> int:
-    return d.writhe()
+    """Sum of crossing signs; independent of the global orientation."""
+    return d._writhe
 
 
 def invariants(d: FrontDiagram, reverse_orientation: bool = False) -> FrontInvariants:
-    """Classical invariants of the front.
+    """Classical invariants of the front, read from its stored counts.
 
-    tb = writhe - (right cusps) and rot = (down - up)/2.  Reversing the
-    orientation negates rot and leaves tb and writhe unchanged; the flag
+    tb = writhe - (right cusps) and rot = (down - up)/2.  Each strand runs
+    from a left cusp to a right cusp, so there are as many cusps as strands
+    and half of them are right cusps.  Reversing the orientation swaps down
+    and up: it negates rot and leaves tb and writhe unchanged; the flag
     exists to check exactly that.
     """
-    w = d.writhe()
-    rc = d.right_cusps()
-    down, up = d.cusp_counts(reverse_orientation)
-    return FrontInvariants(w, rc, down, up, w - rc, (down - up) // 2)
+    cusps = len(d._direction)
+    down, up = d._down, cusps - d._down
+    if reverse_orientation:
+        down, up = up, down
+    rc = cusps // 2
+    return FrontInvariants(d._writhe, rc, down, up, d._writhe - rc, (down - up) // 2)
 
 
 def stabilize_diagram(
@@ -222,7 +214,7 @@ def stabilize_diagram(
     if not 0 <= gap <= len(d.events):
         raise NoSuchStrand("gap %d out of range 0..%d" % (gap, len(d.events)))
     active: list[int] = []
-    sid = rights = 0
+    sid = 0
     for ev in d.events[:gap]:
         i = ev.level - 1
         if ev.kind == "L":
@@ -230,33 +222,20 @@ def stabilize_diagram(
             sid += 2
         elif ev.kind == "R":
             del active[i:i + 2]
-            rights += 1
         else:
             active[i], active[i + 1] = active[i + 1], active[i]
     if not 1 <= level <= len(active):
         raise NoSuchStrand("no strand at level %d (have %d)" % (level, len(active)))
-    s = active[level - 1]
-    ds = d._direction[s]
-    up = ds == sign.value
-    # Splice the parent's arrays.  The zigzag's left cusp opens strands sid
-    # and sid + 1, so later ids shift by 2.  s now ends at the new right
-    # cusp; the outer new strand (sid + 1 for [L level+1, R level], sid for
-    # [L level, R level+1]) continues it, with s's later events and right
-    # end.  Entries before gap name only ids below sid and stay as they are.
-    if up:
-        zigzag, cont, mid = (FrontEvent("L", level + 1), FrontEvent("R", level)), sid + 1, sid
+    ds = d._direction[active[level - 1]]
+    if ds == sign.value:
+        zigzag, dirs = (FrontEvent("L", level + 1), FrontEvent("R", level)), [-ds, ds]
     else:
-        zigzag, cont, mid = (FrontEvent("L", level), FrontEvent("R", level + 1)), sid, sid + 1
-    new_id = list(range(sid)) + list(range(sid + 2, len(d._direction) + 2))
+        zigzag, dirs = (FrontEvent("L", level), FrontEvent("R", level + 1)), [ds, -ds]
     out = object.__new__(FrontDiagram)
     out.events = d.events[:gap] + zigzag + d.events[gap:]
-    out._direction = d._direction[:sid] + ([-ds, ds] if up else [ds, -ds]) + d._direction[sid:]
-    new_id[s] = cont
-    uppers = d._right_uppers
-    out._right_uppers = uppers[:rights] + [s if up else mid]
-    out._right_uppers += map(new_id.__getitem__, uppers[rights:])
-    x = gap - sid // 2 - rights  # crossings before gap
-    out._crossings = d._crossings[:x] + [(new_id[a], new_id[b]) for a, b in d._crossings[x:]]
+    out._direction = d._direction[:sid] + dirs + d._direction[sid:]
+    out._writhe = d._writhe  # a zigzag adds no crossing
+    out._down = d._down + 1 + sign.value  # both new cusps are downward exactly for PLUS
     return out
 
 

@@ -1,14 +1,15 @@
 """Shared independent oracles for the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-colorings come from crossing relations traced from the event word, not
-from the diagram's stored orientation; tight-structure counts from
-shortest paths in the Farey graph, triangle enumeration from raw mediant
-subdivision, realizability from a scan over every peak's stabilization
-cone, disk rotation sets from every non-crossing chord diagram,
-monodromy powers from repeated matrix products, the canonical window
-from a walk of single monodromy steps, and bypass flips from the vertex
-whose vector is the sum of the other two.
+colorings and the classical invariants of a front come from a walk
+traced from the event word, not from the diagram's stored counts;
+tight-structure counts from shortest paths in the Farey graph, triangle
+enumeration from raw mediant subdivision, realizability from a scan over
+every peak's stabilization cone, disk rotation sets from every
+non-crossing chord diagram, monodromy powers from repeated matrix
+products, the canonical window from a walk of single monodromy steps,
+and bypass flips from the vertex whose vector is the sum of the other
+two.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import gcd
 from legknot.bypass import ConfigKind, MoveTag, apply_move, legal_moves, type_i
 from legknot.classify import KnotType, Peak, Sign, max_tb
 from legknot.convex import DiskChordDiagram
-from legknot.front import FrontDiagram, FrontEvent, invariants, parse_front, stabilize_diagram
+from legknot.front import FrontDiagram, FrontInvariants, parse_front, stabilize_diagram
 from legknot.lattice import (
     INF,
     ONE,
@@ -43,16 +44,20 @@ def strand_profile(d: FrontDiagram) -> list[int]:
     return counts
 
 
-def three_colorings(d: FrontDiagram) -> int:
-    """Number of Fox 3-colorings of the underlying knot diagram.
+def trace_word(d: FrontDiagram) -> tuple[list, FrontInvariants]:
+    """Trace the knot from the event word alone, sharing nothing with front.py.
 
-    3 means trivially colored only; a 3-crossing diagram with 9 colorings
-    is a trefoil.  The knot is traced here from the event word alone:
-    strands are numbered by position as the word opens them, right cusps
+    Strands are numbered by position as the word opens them, right cusps
     pair them up, and at each X the strand descending from position i to
-    i + 1 passes over.
+    i + 1 passes over.  The walk runs rightward along strand 1 to its right
+    cusp, leftward back along its partner to a left cusp, and so on; one
+    component visits all strands.  Each strand's direction is the one the
+    walk takes along it, and a cusp is downward when the walk enters it on
+    its upper branch.  Returns the crossing passages [(event index, "over"
+    or "under")] in walk order and the invariants the walk counts, with
+    crossing signs by the right-hand rule on the oriented tangents.
     """
-    active, right_partner, passages, sid = [], {}, {}, 0
+    active, right_partner, right_upper, passages, crossings, sid = [], {}, set(), {}, [], 0
     for k, ev in enumerate(d.events):
         i = ev.level - 1
         if ev.kind == "L":
@@ -63,18 +68,49 @@ def three_colorings(d: FrontDiagram) -> int:
         top, bottom = active[i], active[i + 1]
         if ev.kind == "R":
             right_partner[top], right_partner[bottom] = bottom, top
+            right_upper.add(top)
             del active[i:i + 2]
         else:
             passages[top].append((k, "over"))
             passages[bottom].append((k, "under"))
+            crossings.append((top, bottom))
             active[i], active[i + 1] = bottom, top
-    # walk rightward along strand 1 to its right cusp, leftward back along
-    # its partner to a left cusp, and so on: one component visits all strands
-    stream, strand, rightward = [], 1, True
+    stream, heading, strand, rightward, rights, down = [], {}, 1, True, 0, 0
     for _ in range(sid):
+        heading[strand] = 1 if rightward else -1
         stream.extend(passages[strand] if rightward else reversed(passages[strand]))
-        strand = right_partner[strand] if rightward else strand ^ 1
+        if rightward:
+            rights += 1
+            down += strand in right_upper
+            strand = right_partner[strand]
+        else:
+            down += strand % 2 == 0  # a left cusp opens its upper branch first
+            strand ^= 1
         rightward = not rightward
+    # in the (x, z) plane the over strand runs along (1, -1), the under one
+    # along (1, 1), each times its heading; a crossing is positive when the
+    # over tangent turns counterclockwise onto the under tangent
+    writhe = 0
+    for over, under in crossings:
+        (ox, oz), (ux, uz) = (heading[over], -heading[over]), (heading[under], heading[under])
+        writhe += (ox * uz - oz * ux) // 2
+    up = sid - down
+    return stream, FrontInvariants(writhe, rights, down, up, writhe - rights, (down - up) // 2)
+
+
+def traced_invariants(d: FrontDiagram) -> FrontInvariants:
+    """The classical invariants of d, counted by the walk of trace_word."""
+    return trace_word(d)[1]
+
+
+def three_colorings(d: FrontDiagram) -> int:
+    """Number of Fox 3-colorings of the underlying knot diagram.
+
+    3 means trivially colored only; a 3-crossing diagram with 9 colorings
+    is a trefoil.  The arcs and crossing relations come from the passages
+    of trace_word.
+    """
+    stream, _ = trace_word(d)
     under_positions = [i for i, (_, role) in enumerate(stream) if role == "under"]
     if not under_positions:
         return 3
@@ -422,7 +458,7 @@ def random_valid_diagrams(count: int, seed: int = 20200615):
 
 def front_state(d: FrontDiagram):
     """Everything a diagram stores, to compare a stabilization with a full build."""
-    return d.events, d._direction, d._right_uppers, d._crossings
+    return vars(d)
 
 
 def random_hints(d: FrontDiagram, rng: random.Random):

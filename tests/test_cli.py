@@ -56,6 +56,14 @@ class TestInvariantsCommand:
         assert captured.out == ""
         assert captured.err == "error: front has more than one component (2 of 4 strands traced)\n"
 
+    def test_crossing_with_no_strands_names_the_count(self, tmp_path, capsys):
+        path = tmp_path / "front.txt"
+        path.write_text("X 1\n")
+        assert main(["invariants", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: X level 1 with 0 strands alive\n"
+
     def test_no_state_between_calls(self, tmp_path, capsys):
         path = tmp_path / "front.txt"
         path.write_text(STABILIZED_UNKNOT_WORD)

@@ -1,4 +1,8 @@
-"""Smoke test: every demo script runs to completion and prints something."""
+"""Every demo script runs to completion and prints exactly its recorded output.
+
+The recorded stdout of each demo is in ``tests/demo_output/<stem>.txt``;
+demo 02 also writes ``negative_torus_range.svg``, recorded there too.
+"""
 
 import os
 import shutil
@@ -10,10 +14,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+RECORDED = Path(__file__).resolve().parent / "demo_output"
 
 
 def test_demos_found():
     assert DEMOS
+    assert sorted(p.stem for p in RECORDED.glob("*.txt")) == [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -26,4 +32,7 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    assert done.stdout == (RECORDED / (demo.stem + ".txt")).read_text(encoding="utf-8")
+    if demo.stem == "02_mountain_ranges":
+        svg = "negative_torus_range.svg"
+        assert (tmp_path / svg).read_bytes() == (RECORDED / svg).read_bytes()

@@ -11,12 +11,14 @@ from helpers import (
     random_valid_diagrams,
     strand_profile,
     three_colorings,
+    traced_invariants,
 )
 from legknot.classify import Sign, torus, unknot
 from legknot.errors import FrontSyntaxError, MultiComponent, NoSuchStrand
 from legknot.front import (
     FrontDiagram,
     FrontEvent,
+    FrontInvariants,
     bennequin_compatible,
     invariants,
     parse_front,
@@ -82,6 +84,20 @@ class TestParsing:
         inv = invariants(parse_front("L 1\nX 1\nR 1"))
         assert inv.tb == inv.writhe - 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("R 1\n", "R level 1 with 0 strands alive"),
+        ("X 1\n", "X level 1 with 0 strands alive"),
+        ("L 1\nR 1\nR 1\n", "R level 1 with 0 strands alive"),
+        ("L 1\nR 1\nX 1\n", "X level 1 with 0 strands alive"),
+        ("L 1\nR 2\n", "R level 2 out of range 1..1"),
+        ("L 1\nX 2\nR 1\n", "X level 2 out of range 1..1"),
+    ])
+    def test_two_strand_event_out_of_range_message(self, text, message):
+        # strands open and close in pairs, so 0 is the only count below 2
+        with pytest.raises(FrontSyntaxError) as err:
+            parse_front(text)
+        assert str(err.value) == message
+
     def test_unclosed_diagram(self):
         with pytest.raises(FrontSyntaxError):
             parse_front("L 1\nL 1")
@@ -90,6 +106,16 @@ class TestParsing:
 
 
 class TestInvariants:
+    def test_trace_oracle_on_reference_fronts(self):
+        # (writhe, right cusps, down, up, tb, rot) counted by the walk alone
+        expected = {
+            RIGHT_TREFOIL_PEAK_WORD: (3, 2, 2, 2, 1, 0),
+            STABILIZED_UNKNOT_WORD: (0, 2, 1, 3, -2, -1),
+            TREFOIL_WORD: (-3, 3, 4, 2, -6, 1),
+        }
+        for word, counts in expected.items():
+            assert traced_invariants(parse_front(word)) == FrontInvariants(*counts)
+
     def test_maximal_unknot(self):
         inv = invariants(parse_front("L 1\nR 1"))
         assert (inv.tb, inv.rot) == (-1, 0)
@@ -127,6 +153,7 @@ class TestInvariants:
     def test_structural_identities(self):
         for d in random_valid_diagrams(40):
             inv = invariants(d)
+            assert inv == traced_invariants(d)
             assert (inv.tb + inv.rot) % 2 == 1
             assert inv.down_cusps + inv.up_cusps == 2 * inv.right_cusps
             left = sum(1 for e in d.events if e.kind == "L")
@@ -169,6 +196,7 @@ class TestStabilization:
                         s = stabilize_diagram(d, sign, gap, level)
                         assert len(s.events) == len(d.events) + 2
                         inv = invariants(s)
+                        assert inv == traced_invariants(s)
                         assert (inv.tb, inv.rot) == (base.tb - 1, base.rot + sign.value)
                         rev = invariants(s, reverse_orientation=True)
                         assert rev.rot == -inv.rot

@@ -26,6 +26,7 @@ from helpers import (
     same_orbit,
     strand_profile,
     three_colorings,
+    traced_invariants,
 )
 from legknot.bypass import OutcomeKind, make_config, monodromy_config, normalize, type_iii
 from legknot.classify import Sign, parse_knot
@@ -155,6 +156,7 @@ def test_stabilization_chain_matches_full_builds(word, data):
         level = data.draw(st.integers(1, profile[gap]))
         d = stabilize_diagram(d, data.draw(st.sampled_from(Sign)), gap, level)
         assert front_state(d) == front_state(FrontDiagram(d.events))
+        assert invariants(d) == traced_invariants(d)
         # traced from the spliced event word alone, so a zigzag that changed
         # the knot would change the count
         assert three_colorings(d) == colorings
