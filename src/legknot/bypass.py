@@ -41,8 +41,8 @@ to itself and its two Stern-Brocot parents, whose vectors sum to its
 own; that triangle is its own representative.  Configurations
 with more than three arcs always admit a bypass that produces a
 boundary-parallel dividing curve, i.e. a destabilization of the boundary
-knot; those are reported as destabilizing moves rather than state
-transitions.
+knot; :func:`normalize` reports them as a one-line ``destabilizes``
+verdict naming the annulus rather than as state transitions.
 
 Each flip climbs one Farey level, so the move count is known before the
 first move.  With D the largest Farey depth among the slopes of the
@@ -93,18 +93,14 @@ __all__ = [
     "DividingConfig",
     "MoveTag",
     "Move",
-    "DestabilizingMove",
-    "DestabilizationFound",
     "OutcomeKind",
     "NormalizationOutcome",
     "make_config",
     "type_i",
     "type_ii",
     "type_iii",
-    "config_tb",
     "monodromy_config",
     "legal_moves",
-    "destabilizing_moves",
     "apply_move",
     "normalize",
 ]
@@ -238,11 +234,6 @@ def make_config(spec: str) -> DividingConfig:
     raise TaxonomyError("unknown configuration kind %r" % kind_text)
 
 
-def config_tb(c: DividingConfig) -> int:
-    """tb of the boundary knot: minus the total arc count."""
-    return -c.arcs()
-
-
 def monodromy_config(c: DividingConfig, k: int) -> DividingConfig:
     """Apply the k-th monodromy power to every slope; multiplicities persist."""
     return _map_slopes(c, monodromy_matrix(k)) if k else c
@@ -266,29 +257,11 @@ class MoveTag(Enum):
 
 @dataclass(frozen=True)
 class Move:
-    """A non-destabilizing transition; annulus_slope is the curve whose
-    monodromy image carries the bypass."""
+    """A transition between three-arc configurations; annulus_slope is the
+    curve whose monodromy image carries the bypass."""
 
     tag: MoveTag
     annulus_slope: Slope
-
-
-@dataclass(frozen=True)
-class DestabilizingMove:
-    """A bypass that creates a boundary-parallel dividing curve."""
-
-    annulus_slope: Slope
-    note: str
-
-
-@dataclass(frozen=True)
-class DestabilizationFound:
-    """Result of applying a destabilizing move: the boundary knot
-    destabilizes; the arc count would drop by exactly two."""
-
-    move: DestabilizingMove
-    arcs_before: int
-    arcs_after: int
 
 
 def _canonical(c: DividingConfig) -> tuple[int, DividingConfig]:
@@ -316,20 +289,20 @@ def _canonical(c: DividingConfig) -> tuple[int, DividingConfig]:
         return True
 
     if inside(0):
-        shift = _first_failure(inside, 0, -1)
+        shift = _first_failure(inside, -1)
     else:
-        shift = _first_failure(lambda k: not inside(k), 0, 1) - 1
+        shift = _first_failure(lambda k: not inside(k), 1) - 1
     return shift, _map_slopes(c, powers[shift]) if shift else c
 
 
-def _first_failure(holds, start: int, step: int) -> int:
-    """The first k = start + n * step, n >= 1, at which holds(k) is false.
+def _first_failure(holds, step: int) -> int:
+    """The first k = n * step, n >= 1, at which holds(k) is false.
 
-    holds(start) is true, and along step holds stays false once false.
+    holds(0) is true, and along step holds stays false once false.
     Doubling jumps bracket the answer and bisection closes the bracket:
     O(log n) tests.
     """
-    good, jump = start, step
+    good, jump = 0, step
     while holds(good + jump):
         good, jump = good + jump, 2 * jump
     bad = good + jump
@@ -404,12 +377,12 @@ def _has_transitions(c: DividingConfig) -> bool:
 
 
 def legal_moves(c: DividingConfig) -> list[Move]:
-    """Non-destabilizing transitions available from this configuration.
+    """Transitions available from this configuration.
 
     Configurations with more than three arcs have none: every available
-    bypass there produces a boundary-parallel dividing curve and is
-    reported by :func:`destabilizing_moves` instead.  Nor has a one-class
-    configuration with more than one closed curve, which
+    bypass there produces a boundary-parallel dividing curve, and
+    :func:`normalize` reports the destabilization instead.  Nor has a
+    one-class configuration with more than one closed curve, which
     :func:`normalize` first reduces to one.
     """
     if not _has_transitions(c):
@@ -417,32 +390,8 @@ def legal_moves(c: DividingConfig) -> list[Move]:
     return [move for move, _ in _analyze3(c)]
 
 
-def destabilizing_moves(c: DividingConfig) -> list[DestabilizingMove]:
-    """Bypasses that force a destabilization of the boundary knot.
-
-    Two-class configurations always destabilize; so do one-class
-    configurations with five or more arcs (nested bypasses) and
-    three-class configurations with total multiplicity above three.
-    """
-    if c.kind is ConfigKind.II:
-        return [DestabilizingMove(c.slopes[0], "two-class configurations destabilize")]
-    if c.kind is ConfigKind.I and c.mults[0] > 3:
-        return [DestabilizingMove(
-            c.slopes[0], "nested bypasses on a one-class configuration with more than three arcs"
-        )]
-    if c.kind is ConfigKind.III and c.arcs() > 3:
-        return [DestabilizingMove(
-            c.slopes[0], "three-class configuration with more than three arcs"
-        )]
-    return []
-
-
-def apply_move(c: DividingConfig, move) -> DividingConfig | DestabilizationFound:
-    """Apply a move returned by legal_moves or destabilizing_moves."""
-    if isinstance(move, DestabilizingMove):
-        if move not in destabilizing_moves(c):
-            raise IllegalMove("%r is not a destabilizing move of %s" % (move, c))
-        return DestabilizationFound(move, c.arcs(), c.arcs() - 2)
+def apply_move(c: DividingConfig, move: Move) -> DividingConfig:
+    """Apply a move returned by legal_moves; any other move is IllegalMove."""
     if not _has_transitions(c):
         raise IllegalMove("no transitions on %s" % c)
     for candidate, result in _analyze3(c):
@@ -473,10 +422,12 @@ class NormalizationOutcome:
     steps: int
 
 
-def _destabilization(c: DividingConfig) -> NormalizationOutcome:
-    move = destabilizing_moves(c)[0]
-    line = "Destabilizing annulus=%s (%s)" % (move.annulus_slope, move.note)
-    return NormalizationOutcome(OutcomeKind.DESTABILIZES, (line,), 1)
+# the note on normalize's one trace line for more than three arcs
+_DESTABILIZING_NOTES = {
+    ConfigKind.I: "nested bypasses on a one-class configuration with more than three arcs",
+    ConfigKind.II: "two-class configurations destabilize",
+    ConfigKind.III: "three-class configuration with more than three arcs",
+}
 
 
 def _move_count(rep) -> int:
@@ -502,10 +453,11 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
     """
     if step_limit is not None and step_limit < 0:
         raise Unsupported("step limit must be non-negative, got %d" % step_limit)
-    if c.arcs() > 3:
+    if c.arcs() > 3:  # a bypass gives a boundary-parallel curve: the knot destabilizes
         if step_limit == 0:
             raise NonTermination("no terminal form within 0 steps: destabilizing takes 1")
-        return _destabilization(c)
+        line = "Destabilizing annulus=%s (%s)" % (c.slopes[0], _DESTABILIZING_NOTES[c.kind])
+        return NormalizationOutcome(OutcomeKind.DESTABILIZES, (line,), 1)
     if c.arcs() != 3:
         raise Unsupported("verdicts are defined for three-arc configurations")
 

@@ -125,8 +125,6 @@ def torus(p: int, q: int) -> KnotType:
         raise InvalidKnot("(%d, %d) are not coprime" % (p, q))
     if q == 1:
         raise InvalidKnot("a (p, 1) curve is the unknot; use 'unknot'")
-    if abs(p) == q:
-        raise InvalidKnot("|p| = q is not a knot")
     return KnotType("torus", p, q)
 
 

@@ -17,15 +17,11 @@ from helpers import (
 from legknot import bypass, cli, lattice
 from legknot.bypass import (
     ConfigKind,
-    DestabilizationFound,
-    DestabilizingMove,
     Move,
     MoveTag,
     NormalizationOutcome,
     OutcomeKind,
     apply_move,
-    config_tb,
-    destabilizing_moves,
     legal_moves,
     make_config,
     monodromy_config,
@@ -63,6 +59,8 @@ class TestConstruction:
     def test_not_a_triangle(self):
         with pytest.raises(NotATriangle):
             make_config("III:1/3,2/3,inf")
+        with pytest.raises(NotATriangle):
+            make_config("III:1,1,2")  # slopes must be distinct
 
     def test_parity_rules(self):
         with pytest.raises(ParityError):
@@ -73,18 +71,25 @@ class TestConstruction:
             type_i(S("inf"), 4, 1)
         with pytest.raises(ParityError):
             type_i(S("inf"), 3, 2)  # arcs + closed must be even
+        for spec in ("III:1x0,2x2,infx2", "III:1x-1,2,inf"):  # multiplicities are positive
+            with pytest.raises(ParityError):
+                make_config(spec)
 
     def test_taxonomy_rules(self):
         with pytest.raises(TaxonomyError):
             type_i(S("inf"), 3, 0)
         with pytest.raises(NotAnEdge):
             type_ii((S("1/3"), S("2/3")), (2, 2))
+        with pytest.raises(NotAnEdge):
+            make_config("II:1x2,1x2")  # the two classes must be distinct
         with pytest.raises(TaxonomyError):
             make_config("IV:1,2")
         with pytest.raises(TaxonomyError):
             make_config("I:infx5+xc")  # closed count is not an integer
         with pytest.raises(TaxonomyError):
             make_config("III:1x,2,inf")  # empty multiplicity after 'x'
+        with pytest.raises(TaxonomyError):
+            make_config("I:1x3+2")  # closed count without its 'c'
         for spec in HUGE_COUNT_SPECS:
             with pytest.raises(TaxonomyError):
                 make_config(spec)
@@ -94,11 +99,6 @@ class TestConstruction:
         assert make_config("II:1x2,infx2").arcs() == 4
         assert str(make_config("I:infx5+1c")) == "I:infx5+1c"
         assert str(make_config(TIGHT)) == "III:1x1,2x1,infx1"
-
-    def test_config_tb(self):
-        assert config_tb(make_config(TIGHT)) == -3
-        assert config_tb(make_config("II:1x2,infx2")) == -4
-        assert config_tb(make_config("I:1x5+1c")) == -5
 
 
 class TestMonodromyAction:
@@ -174,7 +174,8 @@ class TestMoves:
 
     def test_no_transition_where_none_is_listed(self):
         # one arc class with extra closed curves lists no move; expanding it
-        # anyway would drop the closed curves
+        # anyway would drop the closed curves.  Nor do two arc classes.
+        assert legal_moves(make_config("II:1x2,infx2")) == []
         for spec in ("I:1x3+3c", "I:infx3+5c", "I:1/2x3+3c"):
             c = make_config(spec)
             assert legal_moves(c) == []
@@ -216,17 +217,6 @@ class TestMoves:
         assert [(m.tag, m.annulus_slope) for m in legal_moves(c)] == expected
         # 15 window tests for a shift of 150, then one M^-150 for both moves
         assert len(calls) <= 16
-
-    def test_destabilizing_moves_listed_separately(self):
-        two_class = make_config("II:1x2,infx2")
-        assert legal_moves(two_class) == []
-        moves = destabilizing_moves(two_class)
-        assert len(moves) >= 1
-        found = apply_move(two_class, moves[0])
-        assert isinstance(found, DestabilizationFound)
-        assert found.arcs_before - found.arcs_after == 2
-        with pytest.raises(IllegalMove):
-            apply_move(make_config(TIGHT), DestabilizingMove(S("1"), "nope"))
 
 
 class TestNormalize:
@@ -477,12 +467,15 @@ class TestFindDestabilization:
     than three arcs, and of no other."""
 
     def test_examples(self):
-        for spec, annulus in (("I:infx5+1c", "inf"), ("II:1x2,infx2", "1"),
-                              ("III:1x1,2x1,infx3", "1")):
+        for spec, line in (
+            ("I:infx5+1c", "Destabilizing annulus=inf "
+             "(nested bypasses on a one-class configuration with more than three arcs)"),
+            ("II:1x2,infx2", "Destabilizing annulus=1 (two-class configurations destabilize)"),
+            ("III:1x1,2x1,infx3", "Destabilizing annulus=1 "
+             "(three-class configuration with more than three arcs)"),
+        ):
             out = normalize(make_config(spec))
-            assert out.kind is OutcomeKind.DESTABILIZES and out.steps == 1
-            assert out.trace[0].startswith("Destabilizing annulus=%s " % annulus)
+            assert out == NormalizationOutcome(OutcomeKind.DESTABILIZES, (line,), 1)
 
     def test_requires_more_than_three_arcs(self):
-        assert destabilizing_moves(make_config(TIGHT)) == []
         assert normalize(make_config(TIGHT)).kind is not OutcomeKind.DESTABILIZES

@@ -47,6 +47,13 @@ class TestKnotTypes:
             torus(4, 2)
         with pytest.raises(InvalidKnot):
             torus(0, 3)
+        for q in range(2, 6):  # |p| = q >= 2 shares the factor q
+            for p in (q, -q):
+                with pytest.raises(InvalidKnot, match="not coprime"):
+                    torus(p, q)
+        for p in (1, -1):
+            with pytest.raises(InvalidKnot, match="is the unknot"):
+                torus(p, 1)
 
     def test_parse_round_trip(self):
         for text in ("unknot", "fig8", "torus:-7,3", "torus:5,2"):

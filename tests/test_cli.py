@@ -1,3 +1,5 @@
+import io
+import types
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -19,6 +21,13 @@ class TestInvariantsCommand:
         path = tmp_path / "front.txt"
         path.write_text(STABILIZED_UNKNOT_WORD)
         code, out = run(capsys, "invariants", str(path))
+        assert code == 0
+        assert out == "tb=-2\nrot=-1\nwrithe=0\nright_cusps=2\n"
+
+    def test_front_from_stdin(self, monkeypatch, capsys):
+        stdin = types.SimpleNamespace(buffer=io.BytesIO(STABILIZED_UNKNOT_WORD.encode()))
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out = run(capsys, "invariants", "-")
         assert code == 0
         assert out == "tb=-2\nrot=-1\nwrithe=0\nright_cusps=2\n"
 
@@ -79,6 +88,9 @@ class TestClassifyAndIsotopic:
         assert "max_tb=-21" in out
         assert "peak_rotations=-4,-2,2,4" in out
         assert "realizable=true" in out
+        code, out = run(capsys, "classify", "torus:-7,3")  # no TB ROT: the peaks only
+        assert code == 0
+        assert out == "knot=torus:-7,3\nmax_tb=-21\npeak_rotations=-4,-2,2,4\n"
 
     def test_classify_missing_rot_writes_no_stdout(self, capsys):
         code, out = run(capsys, "classify", "torus:-7,3", "-22")
@@ -108,6 +120,12 @@ class TestRangeAndValleys:
         code, out = run(capsys, "range", "--knot", "unknot", "--depth", "1")
         assert code == 0
         assert out == "-1\t0\n-2\t-1\n-2\t1\n"
+
+    def test_negative_depth_exit_one(self, capsys):
+        assert main(["range", "--knot", "unknot", "--depth", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: depth must be non-negative\n"
 
     def test_negative_example_points(self, capsys):
         code, out = run(capsys, "range", "--knot", "torus:-7,3", "--depth", "2")

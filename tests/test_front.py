@@ -98,6 +98,10 @@ class TestParsing:
             parse_front(text)
         assert str(err.value) == message
 
+    def test_unknown_event_kind(self):
+        with pytest.raises(FrontSyntaxError, match="unknown event kind 'Q'"):
+            FrontDiagram([FrontEvent("Q", 1)])
+
     def test_unclosed_diagram(self):
         with pytest.raises(FrontSyntaxError):
             parse_front("L 1\nL 1")
