@@ -28,7 +28,7 @@ rotations alternate m gaps of 2e and m - 1 gaps of 2(q - e), both below
 gaps, one of each kind, so at least 2q.  Two distinct peaks are
 therefore adjacent exactly when their rotations differ by less than 2q.
 
-The enumerations (peaks, peak_rotations, mountain_range) are large by
+The enumerations (peaks, peak_rotations, MountainRange) are large by
 nature, so they count their output exactly before building it and raise
 Unsupported when it exceeds MAX_ROWS rows.
 """
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from functools import cached_property
 from math import gcd
 
 from .errors import InvalidKnot, NotAdjacent, Unrealizable, Unsupported, decimal
@@ -248,11 +248,31 @@ def stabilize_class(c: LegendrianClass, sign: Sign) -> LegendrianClass:
 
 @dataclass(frozen=True)
 class MountainRange:
-    """All realizable (tb, rot) pairs down to a given depth below the top."""
+    """All realizable (tb, rot) pairs down to a given depth below the top:
+    checked against MAX_ROWS at construction, enumerated only when read."""
 
     knot: KnotType
     depth: int
-    pairs: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        if self.depth < 0:
+            raise Unsupported("depth must be non-negative")
+        _check_rows(self.knot, _range_rows(self.knot, self.depth))
+
+    def rows(self):
+        """(tb, rots) for each depth from the top down, rots ascending."""
+        top = max_tb(self.knot)
+        peak_rots = sorted(peak_rotations(self.knot))
+        for d in range(self.depth + 1):
+            rots, lo = [], peak_rots[0] - d  # lo: the least rotation at depth d not yet listed
+            for r in peak_rots:
+                rots += range(max(r - d, lo), r + d + 1, 2)
+                lo = r + d + 2
+            yield top - d, rots
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((tb, rot) for tb, rots in self.rows() for rot in rots)
 
 
 def _range_rows(k: KnotType, depth: int) -> int:
@@ -272,19 +292,7 @@ def _range_rows(k: KnotType, depth: int) -> int:
 
 
 def mountain_range(k: KnotType, depth: int) -> MountainRange:
-    if depth < 0:
-        raise Unsupported("depth must be non-negative")
-    _check_rows(k, _range_rows(k, depth))
-    top = max_tb(k)
-    rots = sorted(peak_rotations(k))
-    pairs = []
-    for d in range(depth + 1):
-        row, lo = [], rots[0] - d  # lo: the least rotation at depth d not yet listed
-        for r in rots:
-            row += range(max(r - d, lo), r + d + 1, 2)
-            lo = r + d + 2
-        pairs += zip(repeat(top - d), row)
-    return MountainRange(k, depth, frozenset(pairs))
+    return MountainRange(k, depth)
 
 
 def common_destabilization(k: KnotType, a: Peak, b: Peak) -> tuple[int, int]:

@@ -23,21 +23,18 @@ __all__ = ["main", "render_range"]
 
 def render_range(r: classify.MountainRange, format: str = "tsv") -> str:
     """Render a mountain range as TSV lines or a static SVG plot."""
-    pairs = sorted(r.pairs, key=lambda p: (-p[0], p[1]))
     if format == "tsv":
-        return "".join("%d\t%d\n" % p for p in pairs)
+        return "".join("".join("%d\t%d\n" % (tb, rot) for rot in rots) for tb, rots in r.rows())
     if format == "svg":
-        return _render_svg(r, pairs)
+        return _render_svg(r, list(r.rows()))
     raise LegknotError("unknown range format %r" % format)
 
 
-def _render_svg(r: classify.MountainRange, pairs) -> str:
+def _render_svg(r: classify.MountainRange, rows) -> str:
     step = 24
     pad = 30
-    rots = [p[1] for p in pairs]
-    tbs = [p[0] for p in pairs]
-    rmin, rmax = min(rots), max(rots)
-    tmax = max(tbs)
+    tmax = rows[0][0]
+    rmin, rmax = rows[-1][1][0], rows[-1][1][-1]  # the bottom row is the widest
     width = pad * 2 + (rmax - rmin) * step
     height = pad * 2 + r.depth * step
 
@@ -53,23 +50,22 @@ def _render_svg(r: classify.MountainRange, pairs) -> str:
         'markerHeight="5" orient="auto"><path d="M0,0 L6,3 L0,6 z"/></marker>',
         "</defs>",
     ]
-    pair_set = r.pairs
-    for tb, rot in pairs:  # stabilization arrows to the two children
-        for child_rot in (rot - 1, rot + 1):
-            if (tb - 1, child_rot) in pair_set:
-                x1, y1 = xy(tb, rot)
-                x2, y2 = xy(tb - 1, child_rot)
+    for tb, rots in rows[:-1]:  # cones are closed: a class above the bottom has both children
+        for rot in rots:
+            x1, y1 = xy(tb, rot)
+            for x2 in (x1 - step, x1 + step):  # the children (tb - 1, rot -+ 1)
                 out.append(
                     '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="gray" '
-                    'stroke-width="1" marker-end="url(#arrow)"/>' % (x1, y1, x2, y2)
+                    'stroke-width="1" marker-end="url(#arrow)"/>' % (x1, y1, x2, y1 + step)
                 )
-    for tb, rot in pairs:
-        x, y = xy(tb, rot)
-        out.append('<circle cx="%d" cy="%d" r="4"/>' % (x, y))
-        out.append(
-            '<text x="%d" y="%d" font-size="9" text-anchor="middle">(%d,%d)</text>'
-            % (x, y - 8, tb, rot)
-        )
+    for tb, rots in rows:
+        for rot in rots:
+            x, y = xy(tb, rot)
+            out.append('<circle cx="%d" cy="%d" r="4"/>' % (x, y))
+            out.append(
+                '<text x="%d" y="%d" font-size="9" text-anchor="middle">(%d,%d)</text>'
+                % (x, y - 8, tb, rot)
+            )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

@@ -8,8 +8,9 @@ enumeration from raw mediant subdivision, realizability from a scan over
 every peak's stabilization cone, disk rotation sets from every
 non-crossing chord diagram, monodromy powers from repeated matrix
 products, the canonical window from a walk of single monodromy steps,
-and bypass flips from the vertex whose vector is the sum of the other
-two.
+bypass flips from the vertex whose vector is the sum of the other two,
+and the normalization walk from those two with a brute-force search for
+Stern-Brocot parents.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from legknot.bypass import ConfigKind, MoveTag, apply_move, legal_moves, type_i
-from legknot.classify import KnotType, Peak, Sign, max_tb
+from legknot.bypass import ConfigKind, MoveTag
+from legknot.classify import KnotType, Peak, Sign, figure_eight, max_tb, torus, unknot
 from legknot.convex import DiskChordDiagram
 from legknot.front import FrontDiagram, FrontInvariants, parse_front, stabilize_diagram
 from legknot.lattice import (
@@ -136,6 +137,16 @@ def three_colorings(d: FrontDiagram) -> int:
         if all((2 * colors[o] - colors[i] - colors[j]) % 3 == 0 for o, i, j in relations):
             count += 1
     return count
+
+
+# the small knot types on which closed forms are compared with cone scans
+GRID = [unknot(), figure_eight()] + [
+    torus(sign * a, q)
+    for a in range(3, 20)
+    for q in range(2, a)
+    if gcd(a, q) == 1
+    for sign in (1, -1)
+]
 
 
 def listed_peaks(k: KnotType) -> list[Peak]:
@@ -396,26 +407,54 @@ def stepwise_window(slopes):
     return shift, current
 
 
-def plain_walk(c):
-    """Take the first legal move until none is left, with the closed-curve
-    reduction first; return the end configuration and the trace.
+def stern_brocot_parents(s: Slope) -> tuple[Slope, Slope]:
+    """The two slopes of a finite s = n/d > 0 whose vectors sum to (d, n)
+    and span a Farey edge, found by trying every smaller vector."""
+    n, d = s.num, s.den
+    for a, b in itertools.product(range(n + 1), range(d + 1)):
+        if abs(a * d - b * n) == 1:
+            return reduce_slope(a, b), reduce_slope(n - a, d - b)
+    raise AssertionError("%s has no Stern-Brocot parents" % s)
 
-    Each step goes through legal_moves and apply_move, which search the
-    canonical window afresh, so this walk does not share the single
-    window search of normalize."""
+
+# one arc class at 0 or inf expands to a terminal triangle
+_TERMINAL_EXPANSIONS = {ZERO: OVERTWISTED_TRIANGLE, INF: TIGHT_TRIANGLE}
+
+
+def plain_walk(c):
+    """Drive a three-arc configuration of type I or III to its terminal
+    orbit from this module's own pieces; return the end slopes in c's
+    frame and the trace.
+
+    stepwise_window places the start, and every move's result, in the
+    window.  On the representative one arc class expands to itself and its
+    Stern-Brocot parents, a triangle on one side of the fixed slope takes
+    its sum-vertex flip, and the gateway {0, 1/2, 1} steps to
+    M({0, 1, inf}) = {1/2, 2/3, 1}.  stepwise_monodromy(-shift) maps each
+    result back to c's frame.  No step goes through legknot.bypass."""
+    assert c.arcs() == 3 and c.kind is not ConfigKind.II, c
     trace = []
     if c.kind is ConfigKind.I and c.closed > 1:
         trace.append("ReduceClosed %dc->1c" % c.closed)
-        c = type_i(c.slopes[0], c.mults[0], 1)
-    while moves := legal_moves(c):
-        after = apply_move(c, moves[0])
+    shift, rep = stepwise_window(c.slopes)
+    frame = c.slopes
+    while rep not in (TIGHT_TRIANGLE, OVERTWISTED_TRIANGLE):
+        if len(rep) == 1:
+            (s,) = rep
+            tag = MoveTag.EXPAND_FROM_I
+            result = _TERMINAL_EXPANSIONS.get(s) or (s, *stern_brocot_parents(s))
+        elif len({fixed_side(s) for s in rep}) == 1:
+            result, tag = sum_vertex_flip(rep)
+        else:
+            assert rep == (ZERO, Slope(1, 2), ONE), rep
+            tag, result = MoveTag.CASE_THREE_B, (Slope(1, 2), Slope(2, 3), ONE)
+        step, rep = stepwise_window(result)
+        shift += step
+        after = tuple(sorted(_step(s, -shift) for s in rep))
         trace.append("%s %s->%s" % (
-            moves[0].tag.value,
-            ",".join(str(s) for s in c.slopes),
-            ",".join(str(s) for s in after.slopes),
-        ))
-        c = after
-    return c, tuple(trace)
+            tag.value, ",".join(map(str, frame)), ",".join(map(str, after))))
+        frame = after
+    return frame, tuple(trace)
 
 
 def neg_cf_value(cf) -> Fraction:

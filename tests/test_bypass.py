@@ -369,7 +369,7 @@ class TestMoveCount:
             end, trace = plain_walk(c)
             assert (out.trace, out.steps) == (trace, len(trace)), c
             tight = out.kind is OutcomeKind.STANDARD_TIGHT
-            assert same_orbit(end.slopes, TIGHT_TRIANGLE if tight else OVERTWISTED_TRIANGLE), c
+            assert same_orbit(end, TIGHT_TRIANGLE if tight else OVERTWISTED_TRIANGLE), c
 
     def test_one_window_for_every_shift(self):
         for c in _starts():

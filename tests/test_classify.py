@@ -5,6 +5,7 @@ import pytest
 from legknot.classify import (
     BoundsReport,
     LegendrianClass,
+    MountainRange,
     Peak,
     Sign,
     Verdict,
@@ -166,6 +167,16 @@ class TestMountainRange:
         for point in ((-21, 2), (-21, 4), (-22, 1), (-22, 3), (-22, 5), (-23, 0)):
             assert point in r.pairs
         assert all(realizable(torus(-7, 3), tb, rot) for tb, rot in r.pairs)
+
+    def test_pairs_built_once(self):
+        r = mountain_range(torus(-7, 3), 2)
+        assert r.pairs is r.pairs
+
+    def test_construction_refuses_what_it_cannot_list(self):
+        # refused before any pair is listed: depth 1413 has 1,000,405 pairs
+        for depth in (10**9, 1413, -1):
+            with pytest.raises(Unsupported):
+                MountainRange(unknot(), depth)
 
     def test_closed_under_stabilization_within_depth(self):
         r = mountain_range(torus(-5, 2), 3)

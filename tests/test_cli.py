@@ -4,7 +4,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from helpers import HUGE_COUNT_SPECS, RIGHT_TREFOIL_PEAK_WORD, STABILIZED_UNKNOT_WORD
+from helpers import (
+    GRID,
+    HUGE_COUNT_SPECS,
+    RIGHT_TREFOIL_PEAK_WORD,
+    STABILIZED_UNKNOT_WORD,
+    cone_scan_range,
+)
 from legknot import classify, convex, lattice
 from legknot.classify import mountain_range, torus, unknot
 from legknot.cli import _build_parser, main, render_range
@@ -137,15 +143,50 @@ class TestRangeAndValleys:
         code, out = run(capsys, "range", "--knot", "torus:-7,3", "--depth", "0")
         assert code == 0 and len(out.splitlines()) == 4
 
-    def test_byte_stability(self, capsys):
-        _, first = run(capsys, "range", "--knot", "torus:-7,3", "--depth", "3")
-        _, second = run(capsys, "range", "--knot", "torus:-7,3", "--depth", "3")
-        assert first == second
+    def test_range_never_builds_the_pair_set(self, capsys, monkeypatch):
+        monkeypatch.setattr(classify.MountainRange, "pairs",
+                            property(lambda r: pytest.fail("MountainRange.pairs was read")))
+        for fmt in ("tsv", "svg"):
+            code, out = run(capsys, "range", "--knot", "torus:-7,3", "--depth", "3",
+                            "--format", fmt)
+            assert code == 0 and out
 
     def test_valleys(self, capsys):
         code, out = run(capsys, "valleys", "--knot", "torus:-7,3")
         assert code == 0
         assert out == "-22\t-3\n-22\t3\n-23\t0\n"
+
+
+@pytest.mark.parametrize("k", GRID, ids=str)
+def test_range_draws_the_cone_scan(k, capsys):
+    """TSV lines, SVG circles, labels and arrows against the cone scan:
+    classes tb-descending then rot-ascending, and an arrow from each class
+    to each of its stabilizations (tb - 1, rot -+ 1) inside the range."""
+    svg = "{http://www.w3.org/2000/svg}"
+    for depth in range(7):
+        pairs = sorted(cone_scan_range(k, depth), key=lambda p: (-p[0], p[1]))
+        argv = ("range", "--knot", str(k), "--depth", str(depth))
+        assert run(capsys, *argv) == (0, "".join("%d\t%d\n" % p for p in pairs))
+        code, out = run(capsys, *argv, "--format", "svg")
+        assert code == 0
+        root = ET.fromstring(out)
+        tmax, rmin = pairs[0][0], min(rot for _, rot in pairs)
+
+        def xy(tb, rot):
+            return 30 + 24 * (rot - rmin), 30 + 24 * (tmax - tb)
+
+        circles = [(int(c.get("cx")), int(c.get("cy"))) for c in root.iter(svg + "circle")]
+        assert circles == [xy(*p) for p in pairs], depth
+        assert [t.text for t in root.iter(svg + "text")] == ["(%d,%d)" % p for p in pairs]
+        lines = [tuple(int(e.get(a)) for a in ("x1", "y1", "x2", "y2"))
+                 for e in root.iter(svg + "line")]
+        inside = set(pairs)
+        assert lines == [
+            xy(tb, rot) + xy(tb - 1, child)
+            for tb, rot in pairs
+            for child in (rot - 1, rot + 1)
+            if (tb - 1, child) in inside
+        ], depth
 
 
 class TestSvg:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    GRID,
     cone_scan_max_sl,
     cone_scan_range,
     cone_scan_realizable,
@@ -28,7 +29,6 @@ from legknot.classify import (
     Peak,
     Sign,
     common_destabilization,
-    figure_eight,
     max_tb,
     mountain_range,
     peak_rotations,
@@ -40,15 +40,6 @@ from legknot.classify import (
 )
 from legknot.errors import NotAdjacent, Unsupported
 from legknot.transversal import is_realizable_sl, max_sl
-
-GRID = [unknot(), figure_eight()] + [
-    torus(sign * a, q)
-    for a in range(3, 20)
-    for q in range(2, a)
-    if gcd(a, q) == 1
-    for sign in (1, -1)
-]
-
 
 def _valley(k, a, b):
     try:

@@ -181,7 +181,7 @@ def test_normalize_matches_the_plain_walk(tri, shift):
     end, trace = plain_walk(c)
     assert (out.trace, out.steps) == (trace, len(trace))
     tight = out.kind is OutcomeKind.STANDARD_TIGHT
-    assert same_orbit(end.slopes, TIGHT_TRIANGLE if tight else OVERTWISTED_TRIANGLE)
+    assert same_orbit(end, TIGHT_TRIANGLE if tight else OVERTWISTED_TRIANGLE)
 
 
 _slopes = st.one_of(

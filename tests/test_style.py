@@ -1,4 +1,5 @@
-"""Source layout rules that hold for every file under src/."""
+"""Source layout rules that hold for every file under src/, and the oldest
+Python that src/, tests/ and demos/ must parse under."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,10 @@ def test_every_import_is_used():
         }
         unused += ["%s: %s" % (path.relative_to(SRC), name) for name in sorted(imported - loaded)]
     assert not unused, "imported names the module never loads: %s" % ", ".join(unused)
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10."""
+    root = SRC.parent
+    for path in (p for d in ("src", "tests", "demos") for p in sorted((root / d).rglob("*.py"))):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
