@@ -37,7 +37,6 @@ from .lattice import (
     farey_det,
     is_farey_edge,
     mediant,
-    monodromy_apply,
     neg_cf,
     parse_slope,
     reduce_slope,
@@ -75,7 +74,6 @@ __all__ = [
     "farey_det",
     "is_farey_edge",
     "mediant",
-    "monodromy_apply",
     "neg_cf",
     "parse_slope",
     "reduce_slope",

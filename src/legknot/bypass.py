@@ -29,20 +29,23 @@ leaves (1/2, 1).  One arc class leaves it at 0 or inf: 1/2 = M(0) and
 representative each too.
 
 A triangle is terminal exactly when its representative is {1, 2, inf}
-or {0, 1, inf}, and the moves are the transitions forced on the
+or {0, 1, inf}, and :func:`normalize` takes the move forced on the
 representative, mapped back by the inverse power.  Above the fixed slope
-the triangle flips toward {1, 2, inf} (or temporarily collapses to a
-one-class configuration and re-expands); below it, flips lead to
-{0, 1/2, 1}, which steps into the {0, 1, inf} orbit.  A flip replaces
-the middle slope of the representative by the difference of the other
-two, and is of the first kind exactly when the minimum has the larger
-denominator.  A one-class representative other than 0 and inf expands
-to itself and its two Stern-Brocot parents, whose vectors sum to its
-own; that triangle is its own representative.  Configurations
-with more than three arcs always admit a bypass that produces a
-boundary-parallel dividing curve, i.e. a destabilization of the boundary
-knot; :func:`normalize` reports them as a one-line ``destabilizes``
-verdict naming the annulus rather than as state transitions.
+the triangle flips toward {1, 2, inf}; below it, flips lead to
+{0, 1/2, 1}, which steps into the {0, 1, inf} orbit.  Other bypasses,
+such as collapsing a triangle above the fixed slope to one arc class,
+reach the same orbit.  A flip replaces the middle slope of the
+representative by the difference of the other two, and is of the first
+kind exactly when the minimum has the larger denominator.  A one-class
+representative other than 0 and inf expands to itself and its two
+Stern-Brocot parents, whose vectors sum to its own; that triangle is its
+own representative.  Every one of these moves gives a tessellation
+triangle, so the walk carries bare slope triples and checks none.
+Configurations with more than three arcs always admit a bypass that
+produces a boundary-parallel dividing curve, i.e. a destabilization of
+the boundary knot; :func:`normalize` reports them as a one-line
+``destabilizes`` verdict naming the annulus rather than as state
+transitions.
 
 Each flip climbs one Farey level, so the move count is known before the
 first move.  With D the largest Farey depth among the slopes of the
@@ -64,7 +67,6 @@ from enum import Enum
 
 from .classify import MAX_ROWS
 from .errors import (
-    IllegalMove,
     NonTermination,
     NotAnEdge,
     NotATriangle,
@@ -92,7 +94,6 @@ __all__ = [
     "ConfigKind",
     "DividingConfig",
     "MoveTag",
-    "Move",
     "OutcomeKind",
     "NormalizationOutcome",
     "make_config",
@@ -100,8 +101,6 @@ __all__ = [
     "type_ii",
     "type_iii",
     "monodromy_config",
-    "legal_moves",
-    "apply_move",
     "normalize",
 ]
 
@@ -248,20 +247,12 @@ def _map_slopes(c: DividingConfig, mat) -> DividingConfig:
 
 
 class MoveTag(Enum):
+    """The kind of a move of :func:`normalize`, as its trace line names it."""
+
     FIRST_KIND = "FirstKind"
     SECOND_KIND = "SecondKind"
     CASE_THREE_B = "CaseThreeB"
-    COLLAPSE_TO_I = "CollapseToI"
     EXPAND_FROM_I = "ExpandFromI"
-
-
-@dataclass(frozen=True)
-class Move:
-    """A transition between three-arc configurations; annulus_slope is the
-    curve whose monodromy image carries the bypass."""
-
-    tag: MoveTag
-    annulus_slope: Slope
 
 
 def _canonical(c: DividingConfig) -> tuple[int, DividingConfig]:
@@ -319,85 +310,40 @@ def _flip(rep):
     """Replace the middle slope of a sorted triangle in [0, inf], its
     mediant vertex, by the difference of the other two.
 
-    Returns the new triple and the tag: FIRST_KIND when the old minimum
-    becomes the new mediant vertex, that is when its denominator is the
-    larger, else SECOND_KIND.
+    Returns the tag and the new sorted triple.  The difference lies below
+    the old minimum exactly when the minimum has the larger denominator,
+    and the minimum then becomes the new mediant vertex: FIRST_KIND.
+    Otherwise it lies above the old maximum: SECOND_KIND.
     """
     low, _, high = rep
-    new = (low, high, slope_of_vector(low.vector() - high.vector()))
-    return new, MoveTag.FIRST_KIND if low.den > high.den else MoveTag.SECOND_KIND
+    new = slope_of_vector(low.vector() - high.vector())
+    if low.den > high.den:
+        return MoveTag.FIRST_KIND, (new, low, high)
+    return MoveTag.SECOND_KIND, (low, high, new)
 
 
 def _expand(slope: Slope):
-    """Triangle produced by the one legal bypass on a one-class
-    representative: the slope and its two Stern-Brocot parents."""
+    """Sorted triangle produced by the one legal bypass on a one-class
+    representative: the slope between its two Stern-Brocot parents."""
     if slope == ZERO:
         return _OVERTWISTED_TRIANGLE
     if slope.is_inf:
         return _TIGHT_TRIANGLE
-    return (slope, *farey_parents(slope))
+    left, right = farey_parents(slope)
+    return left, slope, right
 
 
 def _first_move(rep):
-    """The preferred transition on a representative that is not terminal,
-    as (tag, annulus slope, resulting configuration)."""
+    """The move normalize takes from a representative that is not
+    terminal, as (tag, the sorted triple it reaches).  The triple is a
+    tessellation triangle by construction and is not checked."""
     low, high = rep[0], rep[-1]
     if len(rep) == 1:
-        tag, annulus, tri = MoveTag.EXPAND_FROM_I, low, _expand(low)
-    elif low >= ONE or high <= _HALF:  # above or below the fixed slope
-        tri, tag = _flip(rep)
-        annulus = low if low >= ONE else high
-    else:  # straddling, so rep is the gateway {0, 1/2, 1}: replace the minimum
-        tag, annulus, tri = MoveTag.CASE_THREE_B, high, (rep[1], mediant(rep[1], high), high)
-    return tag, annulus, type_iii(tri, (1, 1, 1))
-
-
-def _analyze3(c: DividingConfig):
-    """Legal transitions of a three-arc configuration, as
-    ((move, result), ...) in c's frame; none from a terminal one."""
-    shift, frame = _canonical(c)
-    rep = frame.slopes
-    if rep in (_TIGHT_TRIANGLE, _OVERTWISTED_TRIANGLE):
-        return ()
-    moves = [_first_move(rep)]
-    if len(rep) == 3 and rep[0] >= ONE:  # above the fixed slope a collapse is legal too
-        moves.append((MoveTag.COLLAPSE_TO_I, rep[0], type_i(rep[0], 3, 1)))
-    if shift:  # one matrix maps every move back
-        back = monodromy_matrix(-shift)
-        moves = [
-            (tag, slope_of_vector(apply_matrix(back, annulus.vector())), _map_slopes(result, back))
-            for tag, annulus, result in moves
-        ]
-    return tuple((Move(tag, annulus), result) for tag, annulus, result in moves)
-
-
-def _has_transitions(c: DividingConfig) -> bool:
-    """Whether c admits transitions: three arcs, and one closed curve for type I."""
-    return c.arcs() == 3 and (c.kind is not ConfigKind.I or c.closed == 1)
-
-
-def legal_moves(c: DividingConfig) -> list[Move]:
-    """Transitions available from this configuration.
-
-    Configurations with more than three arcs have none: every available
-    bypass there produces a boundary-parallel dividing curve, and
-    :func:`normalize` reports the destabilization instead.  Nor has a
-    one-class configuration with more than one closed curve, which
-    :func:`normalize` first reduces to one.
-    """
-    if not _has_transitions(c):
-        return []
-    return [move for move, _ in _analyze3(c)]
-
-
-def apply_move(c: DividingConfig, move: Move) -> DividingConfig:
-    """Apply a move returned by legal_moves; any other move is IllegalMove."""
-    if not _has_transitions(c):
-        raise IllegalMove("no transitions on %s" % c)
-    for candidate, result in _analyze3(c):
-        if candidate == move:
-            return result
-    raise IllegalMove("%r is not legal on %s" % (move, c))
+        return MoveTag.EXPAND_FROM_I, _expand(low)
+    if low >= ONE or high <= _HALF:  # above or below the fixed slope
+        return _flip(rep)
+    # straddling, so rep is the gateway {0, 1/2, 1}: replace the minimum
+    return MoveTag.CASE_THREE_B, (rep[1], mediant(rep[1], high), high)
 
 
 class OutcomeKind(Enum):
@@ -443,13 +389,13 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
 
     Three-arc configurations end in the standard tight orbit {1, 2, inf}
     or the overtwisted orbit {0, 1, inf}; anything with more arcs
-    destabilizes in one move.  The move order is deterministic (triangle
-    transitions are preferred over collapses).  The move count is known
-    before the first move: a limit below it raises NonTermination, and a
-    count above classify.MAX_ROWS is Unsupported, both before any move is
-    taken.  A walk that disagrees with its count raises NonTermination
-    too, which indicates a bug rather than a mathematical outcome.  A
-    negative limit is Unsupported.
+    destabilizes in one move.  The moves are deterministic: the one move
+    forced on each representative, never a collapse to one arc class.  The
+    move count is known before the first move: a limit below it raises
+    NonTermination, and a count above classify.MAX_ROWS is Unsupported,
+    both before any move is taken.  A walk that disagrees with its count
+    raises NonTermination too, which indicates a bug rather than a
+    mathematical outcome.  A negative limit is Unsupported.
     """
     if step_limit is not None and step_limit < 0:
         raise Unsupported("step limit must be non-negative, got %d" % step_limit)
@@ -480,8 +426,8 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
     rep, mapped = frame.slopes, {}
     before = ",".join(str(s) for s in current.slopes)
     while rep not in _ENDS and len(trace) < count:
-        tag, _, result = _first_move(rep)
-        rep = slopes = result.slopes
+        tag, rep = _first_move(rep)
+        slopes = rep
         if back is not None:  # a move keeps two slopes, so map back only the new one
             mapped = {s: mapped.get(s) or slope_of_vector(apply_matrix(back, s.vector()))
                       for s in rep}

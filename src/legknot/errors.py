@@ -88,9 +88,5 @@ class TaxonomyError(LegknotError):
     """Dividing-curve data outside the three admissible configuration types."""
 
 
-class IllegalMove(LegknotError):
-    """Bypass move applied to a configuration where it is not legal."""
-
-
 class NonTermination(LegknotError):
     """Step limit below a normalization's move count, or a walk off that count (a bug)."""

@@ -47,7 +47,6 @@ __all__ = [
     "neg_cf",
     "monodromy_matrix",
     "apply_matrix",
-    "monodromy_apply",
     "farey_parents",
     "farey_depth",
 ]
@@ -249,13 +248,6 @@ def apply_matrix(
     """The integer matrix mat applied to the column vector v."""
     (a, b), (c, d) = mat
     return IntegralVector(a * v.x + b * v.y, c * v.x + d * v.y)
-
-
-def monodromy_apply(s: Slope, k: int = 1) -> Slope:
-    """Slope of the k-th monodromy power applied to the class of s."""
-    if k == 0:
-        return s
-    return slope_of_vector(apply_matrix(monodromy_matrix(k), s.vector()))
 
 
 def farey_parents(s: Slope) -> tuple[Slope, Slope]:

@@ -9,8 +9,9 @@ every peak's stabilization cone, disk rotation sets from every
 non-crossing chord diagram, monodromy powers from repeated matrix
 products, the canonical window from a walk of single monodromy steps,
 bypass flips from the vertex whose vector is the sum of the other two,
-and the normalization walk from those two with a brute-force search for
-Stern-Brocot parents.
+the bypass moves and the normalization walk from those two with a
+brute-force search for Stern-Brocot parents, and Farey triangles from
+determinants computed here.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from legknot.lattice import (
     IntegralVector,
     Slope,
     mediant,
-    monodromy_apply,
+    parse_slope,
     reduce_slope,
     slope_of_vector,
 )
@@ -151,7 +152,7 @@ GRID = [unknot(), figure_eight()] + [
 
 def listed_peaks(k: KnotType) -> list[Peak]:
     """Every peak, rotation descending, listed one by one from the
-    negative-torus theorem: rotations +-(|p| - q - 2qk), 0 <= k < |p|/q."""
+    negative-torus theorem: rotations +-(|p| - q - 2qk), 0 <= k < floor(|p|/q)."""
     rots = {0}
     if k.kind == "torus" and k.p < 0:
         a, q = -k.p, k.q
@@ -359,7 +360,7 @@ def fixed_side(s: Slope) -> int:
 def same_orbit(slopes, target) -> bool:
     """Whether some power M^k of the monodromy maps target onto slopes.
 
-    A plain step-by-step search with monodromy_apply, independent of the
+    A plain step-by-step search with _step, independent of the
     canonical window in legknot.bypass.  Both terminal triangles contain
     inf, and M^k(inf) has a coordinate F_2|k| >= 2^(|k| - 1), so for those
     targets |k| is at most the bit length of the largest coordinate of
@@ -372,7 +373,7 @@ def same_orbit(slopes, target) -> bool:
         for _ in range(bound + 1):
             if frozenset(current) == goal:
                 return True
-            current = tuple(monodromy_apply(s, step) for s in current)
+            current = tuple(_step(s, step) for s in current)
     return False
 
 
@@ -419,6 +420,45 @@ def stern_brocot_parents(s: Slope) -> tuple[Slope, Slope]:
 
 # one arc class at 0 or inf expands to a terminal triangle
 _TERMINAL_EXPANSIONS = {ZERO: OVERTWISTED_TRIANGLE, INF: TIGHT_TRIANGLE}
+# the tag of the other bypass above the fixed slope, which normalize never takes
+COLLAPSE = "CollapseToI"
+
+
+def expansion(s: Slope):
+    """The triangle one arc class at s expands to: s and its Stern-Brocot
+    parents, or a terminal triangle at 0 and inf; not sorted."""
+    return _TERMINAL_EXPANSIONS.get(s) or (s, *stern_brocot_parents(s))
+
+
+def forced_move(rep):
+    """The move on a representative that is not terminal, as (tag, result):
+    one arc class expands, a triangle on one side of the fixed slope takes
+    its sum-vertex flip, and the gateway {0, 1/2, 1} steps to
+    M({0, 1, inf}) = {1/2, 2/3, 1}."""
+    if len(rep) == 1:
+        return MoveTag.EXPAND_FROM_I, expansion(rep[0])
+    if len({fixed_side(s) for s in rep}) == 1:
+        result, tag = sum_vertex_flip(rep)
+        return tag, result
+    assert rep == (ZERO, Slope(1, 2), ONE), rep
+    return MoveTag.CASE_THREE_B, (Slope(1, 2), Slope(2, 3), ONE)
+
+
+def transitions(slopes):
+    """Every bypass that a three-arc configuration with one closed curve
+    and these slopes admits, as (tag text, sorted result slopes) in its own
+    frame: none from a terminal representative, the forced move, and above
+    the fixed slope also the collapse of the triangle to one arc class at
+    its minimum.  stepwise_window places the slopes and
+    stepwise_monodromy(-shift) maps each result back."""
+    shift, rep = stepwise_window(slopes)
+    if rep in (TIGHT_TRIANGLE, OVERTWISTED_TRIANGLE):
+        return []
+    tag, result = forced_move(rep)
+    moves = [(tag.value, result)]
+    if len(rep) == 3 and {fixed_side(s) for s in rep} == {1}:
+        moves.append((COLLAPSE, rep[:1]))
+    return [(tag, tuple(sorted(_step(s, -shift) for s in result))) for tag, result in moves]
 
 
 def plain_walk(c):
@@ -427,11 +467,9 @@ def plain_walk(c):
     frame and the trace.
 
     stepwise_window places the start, and every move's result, in the
-    window.  On the representative one arc class expands to itself and its
-    Stern-Brocot parents, a triangle on one side of the fixed slope takes
-    its sum-vertex flip, and the gateway {0, 1/2, 1} steps to
-    M({0, 1, inf}) = {1/2, 2/3, 1}.  stepwise_monodromy(-shift) maps each
-    result back to c's frame.  No step goes through legknot.bypass."""
+    window, forced_move moves the representative, and
+    stepwise_monodromy(-shift) maps each result back to c's frame.  No
+    step goes through legknot.bypass."""
     assert c.arcs() == 3 and c.kind is not ConfigKind.II, c
     trace = []
     if c.kind is ConfigKind.I and c.closed > 1:
@@ -439,15 +477,7 @@ def plain_walk(c):
     shift, rep = stepwise_window(c.slopes)
     frame = c.slopes
     while rep not in (TIGHT_TRIANGLE, OVERTWISTED_TRIANGLE):
-        if len(rep) == 1:
-            (s,) = rep
-            tag = MoveTag.EXPAND_FROM_I
-            result = _TERMINAL_EXPANSIONS.get(s) or (s, *stern_brocot_parents(s))
-        elif len({fixed_side(s) for s in rep}) == 1:
-            result, tag = sum_vertex_flip(rep)
-        else:
-            assert rep == (ZERO, Slope(1, 2), ONE), rep
-            tag, result = MoveTag.CASE_THREE_B, (Slope(1, 2), Slope(2, 3), ONE)
+        tag, result = forced_move(rep)
         step, rep = stepwise_window(result)
         shift += step
         after = tuple(sorted(_step(s, -shift) for s in rep))
@@ -455,6 +485,60 @@ def plain_walk(c):
             tag.value, ",".join(map(str, frame)), ",".join(map(str, after))))
         frame = after
     return frame, tuple(trace)
+
+
+def tight_by_representative(slopes) -> bool:
+    """The verdict read off the representative: standard-tight exactly when
+    the minimum of the stepwise_window representative is at least 1, where
+    one arc class is first expanded and placed again."""
+    _, rep = stepwise_window(slopes)
+    if len(rep) == 1:
+        _, rep = stepwise_window(expansion(rep[0]))
+    return rep[0] >= ONE
+
+
+def trace_moves(trace):
+    """The moves of a normalize trace as (tag, before, after), each side a
+    tuple of slope texts; the ReduceClosed line is skipped."""
+    moves = []
+    for line in trace:
+        tag, _, body = line.partition(" ")
+        if tag != "ReduceClosed":
+            before, after = body.split("->")
+            moves.append((tag, tuple(before.split(",")), tuple(after.split(","))))
+    return moves
+
+
+def mapped_trace(trace, k):
+    """A normalize trace with every slope mapped by M^k and each side sorted
+    again; the ReduceClosed line is kept as it is."""
+    def image(side):
+        return ",".join(map(str, sorted(_step(parse_slope(t), k) for t in side.split(","))))
+
+    out = []
+    for line in trace:
+        tag, _, body = line.partition(" ")
+        if tag != "ReduceClosed":
+            line = "%s %s" % (tag, "->".join(map(image, body.split("->"))))
+        out.append(line)
+    return tuple(out)
+
+
+def _vector(text):
+    """The vector (den, num) of a slope written 'n/d', 'n' or 'inf', read
+    here rather than by legknot.lattice."""
+    if text == "inf":
+        return 0, 1
+    num, _, den = text.partition("/")
+    return int(den or 1), int(num)
+
+
+def spans_farey_triangle(texts) -> bool:
+    """Whether three slopes, written as in a trace, span a triangle of the
+    tessellation: every pair of their vectors has determinant +-1."""
+    vectors = [_vector(t) for t in texts]
+    return len(vectors) == 3 and all(
+        abs(a * d - b * c) == 1 for (a, b), (c, d) in itertools.combinations(vectors, 2))
 
 
 def neg_cf_value(cf) -> Fraction:

@@ -21,12 +21,10 @@ from helpers import (
     same_orbit,
     three_colorings,
     tight_count_by_paths,
+    transitions,
 )
 from legknot.bypass import (
-    ConfigKind,
     OutcomeKind,
-    apply_move,
-    legal_moves,
     make_config,
     normalize,
     type_i,
@@ -211,10 +209,10 @@ def test_criterion_11_bypass_engine():
     assert normalize(make_config("III:1,2,inf")).kind is OutcomeKind.STANDARD_TIGHT
     assert normalize(make_config("III:0,1,inf")).kind is OutcomeKind.OVERTWISTED
 
-    def terminal_orbit(config):
-        if same_orbit(config.slopes, TIGHT_TRIANGLE):
+    def terminal_orbit(slopes):
+        if same_orbit(slopes, TIGHT_TRIANGLE):
             return "tight"
-        if same_orbit(config.slopes, OVERTWISTED_TRIANGLE):
+        if same_orbit(slopes, OVERTWISTED_TRIANGLE):
             return "overtwisted"
         return None
 
@@ -225,22 +223,22 @@ def test_criterion_11_bypass_engine():
         # deterministic normalization terminates with a verdict
         outcome = normalize(start)
         assert outcome.kind in (OutcomeKind.STANDARD_TIGHT, OutcomeKind.OVERTWISTED)
-        # exhaustive move orders: all runs reach one terminal orbit
+        # exhaustive move orders, flips, collapses and expansions from the
+        # helpers' own pieces: all runs reach one terminal orbit
         terminals = set()
-        stack, seen = [start], set()
+        stack, seen = [start.slopes], set()
         while stack:
             current = stack.pop()
-            key = str(current)
-            if key in seen:
+            if current in seen:
                 continue
-            seen.add(key)
-            orbit = terminal_orbit(current) if current.kind is ConfigKind.III else None
+            seen.add(current)
+            orbit = terminal_orbit(current) if len(current) == 3 else None
             if orbit is not None:
                 terminals.add(orbit)
                 continue
-            moves = legal_moves(current)
-            assert moves, "non-terminal state %s is stuck" % current
-            stack.extend(apply_move(current, m) for m in moves)
+            moves = transitions(current)
+            assert moves, "non-terminal state %s is stuck" % (current,)
+            stack.extend(result for _, result in moves)
             assert len(seen) < 400
         assert len(terminals) == 1
         assert outcome.kind.value.replace("standard-", "") in terminals.pop()

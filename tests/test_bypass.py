@@ -3,26 +3,30 @@ import random
 import pytest
 
 from helpers import (
+    COLLAPSE,
     HUGE_COUNT_SPECS,
     OVERTWISTED_TRIANGLE,
     TIGHT_TRIANGLE,
+    _step,
     farey_triangles_to_depth,
     fixed_side,
+    mapped_trace,
     plain_walk,
     same_orbit,
+    spans_farey_triangle,
     stepwise_window,
     sum_vertex,
     sum_vertex_flip,
+    tight_by_representative,
+    trace_moves,
+    transitions,
 )
 from legknot import bypass, cli, lattice
 from legknot.bypass import (
     ConfigKind,
-    Move,
     MoveTag,
     NormalizationOutcome,
     OutcomeKind,
-    apply_move,
-    legal_moves,
     make_config,
     monodromy_config,
     normalize,
@@ -31,7 +35,6 @@ from legknot.bypass import (
     type_iii,
 )
 from legknot.errors import (
-    IllegalMove,
     NonTermination,
     NotAnEdge,
     NotATriangle,
@@ -39,7 +42,7 @@ from legknot.errors import (
     TaxonomyError,
     Unsupported,
 )
-from legknot.lattice import INF, ONE, ZERO, mediant, monodromy_apply, parse_slope
+from legknot.lattice import INF, ONE, ZERO, mediant, parse_slope
 
 
 def S(text):
@@ -115,39 +118,44 @@ class TestMonodromyAction:
                 assert monodromy_config(monodromy_config(c, k), -k) == c
 
 
+def _first_moves(monkeypatch):
+    """Record every representative normalize moves from."""
+    moved, first_move = [], bypass._first_move
+    monkeypatch.setattr(bypass, "_first_move", lambda rep: moved.append(rep) or first_move(rep))
+    return moved
+
+
 class TestMoves:
-    def test_terminal_states_have_no_moves(self):
-        assert legal_moves(make_config(TIGHT)) == []
-        assert legal_moves(make_config(OVERTWISTED)) == []
+    """The moves normalize takes, against the bypass moves that
+    helpers.transitions lists from its own pieces."""
+
+    def test_terminal_states_have_no_moves(self, monkeypatch):
+        moved = _first_moves(monkeypatch)
+        for spec in (TIGHT, OVERTWISTED):
+            for k in (0, 1, -2, 7):
+                c = monodromy_config(make_config(spec), k)
+                assert transitions(c.slopes) == []
+                assert normalize(c).trace == ()
+        assert moved == []
 
     def test_case_one_moves(self):
         c = make_config("III:3,7/2,4")
-        moves = legal_moves(c)
-        tags = {m.tag for m in moves}
-        assert MoveTag.COLLAPSE_TO_I in tags
-        assert tags & {MoveTag.FIRST_KIND, MoveTag.SECOND_KIND}
-        flip = next(m for m in moves if m.tag is not MoveTag.COLLAPSE_TO_I)
-        result = apply_move(c, flip)
-        assert {str(s) for s in result.slopes} == {"3", "4", "inf"}
+        tags = {tag for tag, _ in transitions(c.slopes)}
+        assert tags == {COLLAPSE, MoveTag.SECOND_KIND.value}
+        assert normalize(c).trace[0] == "SecondKind 3,7/2,4->3,4,inf"
 
     def test_collapse_and_expand(self):
+        # the collapse above the fixed slope, then the expansion it allows
         c = make_config("III:3,7/2,4")
-        collapse = next(m for m in legal_moves(c) if m.tag is MoveTag.COLLAPSE_TO_I)
-        collapsed = apply_move(c, collapse)
-        assert collapsed.kind is ConfigKind.I
-        assert collapsed.arcs() == 3 and collapsed.closed == 1
-        expand = legal_moves(collapsed)
-        assert [m.tag for m in expand] == [MoveTag.EXPAND_FROM_I]
-        expanded = apply_move(collapsed, expand[0])
-        assert expanded.kind is ConfigKind.III
-        assert expanded.arcs() == 3
+        assert (COLLAPSE, (S("3"),)) in transitions(c.slopes)
+        assert transitions((S("3"),)) == [(MoveTag.EXPAND_FROM_I.value, (S("2"), S("3"), INF))]
+        assert normalize(make_config("I:3x3+1c")).trace[0] == "ExpandFromI 3->2,3,inf"
 
     def test_gateway_case_three(self):
         c = make_config("III:0,1/2,1")
-        moves = legal_moves(c)
-        assert [m.tag for m in moves] == [MoveTag.CASE_THREE_B]
-        result = apply_move(c, moves[0])
-        assert {str(s) for s in result.slopes} == {"1/2", "2/3", "1"}
+        step = ("CaseThreeB", (S("1/2"), S("2/3"), ONE))
+        assert transitions(c.slopes) == [step]
+        assert normalize(c).trace == ("CaseThreeB 0,1/2,1->1/2,2/3,1",)
 
     def test_straddling_triangles_take_the_gateway_move(self):
         # triangles in [0, inf] with slopes on both sides of the fixed slope
@@ -157,54 +165,46 @@ class TestMoves:
         ]
         assert len(straddling) >= 10
         for tri in straddling:
-            c = type_iii(tri, (1, 1, 1))
+            out = normalize(type_iii(tri, (1, 1, 1)))
             if same_orbit(tri, OVERTWISTED_TRIANGLE):
-                assert legal_moves(c) == []
+                assert out.trace == ()
                 continue
-            moves = legal_moves(c)
-            assert [m.tag for m in moves] == [MoveTag.CASE_THREE_B]
-            assert same_orbit(apply_move(c, moves[0]).slopes, OVERTWISTED_TRIANGLE)
+            ((tag, _, after),) = trace_moves(out.trace)
+            assert tag == "CaseThreeB"
+            assert same_orbit([S(t) for t in after], OVERTWISTED_TRIANGLE)
 
-    def test_illegal_move_rejected(self):
-        c = make_config(TIGHT)
-        with pytest.raises(IllegalMove):
-            apply_move(c, Move(MoveTag.FIRST_KIND, S("1")))
-        with pytest.raises(IllegalMove):
-            apply_move(make_config("III:3,7/2,4"), Move(MoveTag.CASE_THREE_B, S("3")))
-
-    def test_no_transition_where_none_is_listed(self):
-        # one arc class with extra closed curves lists no move; expanding it
-        # anyway would drop the closed curves.  Nor do two arc classes.
-        assert legal_moves(make_config("II:1x2,infx2")) == []
+    def test_no_transition_where_none_is_listed(self, monkeypatch):
+        # one arc class with extra closed curves takes no bypass before it
+        # drops to one closed curve; two arc classes take none at all
         for spec in ("I:1x3+3c", "I:infx3+5c", "I:1/2x3+3c"):
             c = make_config(spec)
-            assert legal_moves(c) == []
-            with pytest.raises(IllegalMove):
-                apply_move(c, Move(MoveTag.EXPAND_FROM_I, c.slopes[0]))
-        with pytest.raises(IllegalMove):
-            apply_move(make_config("II:1x2,infx2"), Move(MoveTag.FIRST_KIND, ONE))
+            out = normalize(c)
+            assert out.trace[0] == "ReduceClosed %dc->1c" % c.closed
+            assert out.trace[1:] == normalize(type_i(c.slopes[0], 3, 1)).trace
+            assert out.trace[1].startswith("ExpandFromI ")
+        moved = _first_moves(monkeypatch)
+        out = normalize(make_config("II:1x2,infx2"))
+        assert out.kind is OutcomeKind.DESTABILIZES and moved == []
 
     def test_arc_conservation(self):
+        # every bypass, the collapse too, keeps three arcs: one class of
+        # three, or a triangle of three classes
         for tri in farey_triangles_to_depth(3):
-            c = type_iii(tri, (1, 1, 1))
-            for move in legal_moves(c):
-                result = apply_move(c, move)
-                assert result.arcs() == 3
-                if result.kind is ConfigKind.III:
-                    type_iii(result.slopes, result.mults)  # still a Farey triangle
+            for tag, result in transitions(tuple(sorted(tri))):
+                assert len(result) == 1 or spans_farey_triangle(map(str, result)), (tri, tag)
 
     def test_monodromy_equivariance(self):
-        for tri in farey_triangles_to_depth(3):
-            c = type_iii(tri, (1, 1, 1))
-            for move in legal_moves(c):
-                result = apply_move(c, move)
-                for k in (-2, 1, 3):
-                    conjugated = Move(move.tag, monodromy_apply(move.annulus_slope, k))
-                    assert apply_move(monodromy_config(c, k), conjugated) == monodromy_config(result, k)
+        # the trace of M^k(c) is the trace of c with every slope mapped by M^k
+        starts = [type_iii(tri, (1, 1, 1)) for tri in farey_triangles_to_depth(3)]
+        starts += [make_config(spec) for spec in ("I:3x3+1c", "I:2/5x3+3c", "I:infx3+1c")]
+        for c in starts:
+            trace = normalize(c).trace
+            for k in (-2, 1, 3):
+                assert normalize(monodromy_config(c, k)).trace == mapped_trace(trace, k), (c, k)
 
     def test_moves_map_back_with_one_matrix(self, monkeypatch):
         c = monodromy_config(make_config("III:5/3,7/4,2"), 150)
-        expected = [(m.tag, m.annulus_slope) for m in legal_moves(c)]
+        expected = normalize(c)
         calls = []
         plain = lattice.monodromy_matrix
 
@@ -214,9 +214,9 @@ class TestMoves:
 
         monkeypatch.setattr(lattice, "monodromy_matrix", counting)
         monkeypatch.setattr(bypass, "monodromy_matrix", counting)
-        assert [(m.tag, m.annulus_slope) for m in legal_moves(c)] == expected
-        # 15 window tests for a shift of 150, then one M^-150 for both moves
-        assert len(calls) <= 16
+        assert normalize(c) == expected and expected.steps == 3
+        # 15 window tests reach M^-150, then one M^150 maps every move back
+        assert calls.count(150) == 1 and len(calls) <= 16
 
 
 class TestNormalize:
@@ -256,8 +256,9 @@ class TestNormalize:
         for spec, image in (("I:0x3+1c", "I:1/2x3+1c"), ("I:infx3+1c", "I:1x3+1c")):
             out, shifted = normalize(make_config(spec)), normalize(make_config(image))
             assert out.steps == shifted.steps == 1
-            walk = monodromy_config(apply_move(make_config(spec), legal_moves(make_config(spec))[0]), 1)
-            assert shifted.trace[0].endswith("->" + ",".join(str(s) for s in walk.slopes))
+            ((_, result),) = transitions(make_config(spec).slopes)
+            walk = sorted(_step(s, 1) for s in result)
+            assert shifted.trace[0].endswith("->" + ",".join(map(str, walk)))
 
     def test_closed_curves_absorbed(self):
         out = normalize(make_config("I:1x3+3c"))
@@ -394,7 +395,7 @@ class TestMoveCount:
         # one arc class: the slopes to depth 6, and M^k(0), M^k(inf) for
         # k = 1..6, which start at 1/2 = M(0) and 1 = M(inf)
         slopes = {s for tri in farey_triangles_to_depth(6) for s in tri}
-        slopes |= {monodromy_apply(s, k) for s in (ZERO, INF) for k in range(1, 7)}
+        slopes |= {_step(s, k) for s in (ZERO, INF) for k in range(1, 7)}
         assert {S("1/2"), ONE} <= slopes
         starts += [type_i(s, 3, 1) for s in sorted(slopes)]
         for c in starts:
@@ -412,8 +413,9 @@ class TestMoveCount:
         flipped = [rep for rep in reps if rep[0] >= ONE or rep[-1] <= S("1/2")]
         assert len(flipped) > 1000
         for rep in flipped:
-            assert bypass._flip(rep) == sum_vertex_flip(rep), rep
-        tags = {bypass._flip(rep)[1] for rep in flipped}
+            tri, tag = sum_vertex_flip(rep)
+            assert bypass._flip(rep) == (tag, tuple(sorted(tri))), rep
+        tags = {bypass._flip(rep)[0] for rep in flipped}
         assert tags == {MoveTag.FIRST_KIND, MoveTag.SECOND_KIND}
 
     def test_expand_gives_the_parents(self):
@@ -424,15 +426,14 @@ class TestMoveCount:
             assert set(bypass._expand(sum_vertex(tri))) == set(tri), tri
 
     def test_refused_up_front_over_the_cap(self, monkeypatch):
-        analyzed = []
-        monkeypatch.setattr(bypass, "_analyze3", lambda c: analyzed.append(c))
+        moved = _first_moves(monkeypatch)
         with pytest.raises(Unsupported, match="999999999 moves"):
             normalize(make_config("III:0,1/1000000000,1/999999999"))
         with pytest.raises(NonTermination):
             normalize(make_config("III:0,1/1000000000,1/999999999"), step_limit=10)
         with pytest.raises(NonTermination):
             normalize(make_config("III:1/4,2/7,1/3"), step_limit=3)
-        assert analyzed == []
+        assert moved == []
 
     def test_walk_off_its_count_is_a_bug(self, monkeypatch):
         c = make_config("III:5/3,7/4,2")  # three moves
@@ -442,10 +443,9 @@ class TestMoveCount:
                 normalize(c)
 
     def test_cli_refusals_take_no_move(self, monkeypatch, capsys):
-        searches, analyzed = [], []
-        canonical, analyze = bypass._canonical, bypass._analyze3
+        searches, canonical = [], bypass._canonical
         monkeypatch.setattr(bypass, "_canonical", lambda c: searches.append(c) or canonical(c))
-        monkeypatch.setattr(bypass, "_analyze3", lambda c: analyzed.append(c) or analyze(c))
+        moved = _first_moves(monkeypatch)
         assert cli.main(["bypass-normalize", "III:0,1/1000000000,1/999999999"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
@@ -454,12 +454,46 @@ class TestMoveCount:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         # each refusal searches the window once, for the count, and moves nowhere
-        assert len(searches) == 2 and analyzed == []
+        assert len(searches) == 2 and moved == []
         searches.clear()
         assert cli.main(["bypass-normalize", "III:0,1/1000,1/999"]) == 0
         assert "\nsteps=999\n" in capsys.readouterr().out
         # the window is searched once per walk, not once per move
-        assert len(searches) <= 2
+        assert len(searches) <= 2 and len(moved) == 999
+
+
+def _depth8_starts():
+    """The Farey triangles to depth 8, and their slopes as one arc class
+    with three arcs and one closed curve, each under shifts 0, 3, -5, 17."""
+    triangles = farey_triangles_to_depth(8)
+    slopes = sorted({s for tri in triangles for s in tri})
+    bases = [type_iii(tri, (1, 1, 1)) for tri in triangles] + [type_i(s, 3, 1) for s in slopes]
+    return [monodromy_config(c, k) for c in bases for k in (0, 3, -5, 17)]
+
+
+class TestTraceTriangles:
+    """normalize walks on bare slope triples; the tests check what the
+    walk no longer checks at run time."""
+
+    def test_every_trace_triple_spans_a_farey_triangle(self):
+        starts = _depth8_starts()
+        assert len(starts) > 4000
+        for c in starts:
+            moves = trace_moves(normalize(c).trace)
+            for (_, _, after), (_, before, _) in zip(moves, moves[1:]):
+                assert before == after, c
+            for tag, _, after in moves:
+                assert spans_farey_triangle(after), (c, tag, after)
+
+    def test_verdict_reads_off_the_representative(self):
+        # standard-tight exactly when the minimum of the representative is
+        # at least 1, one arc class expanded first
+        tight = 0
+        for c in _depth8_starts():
+            kind = normalize(c).kind
+            assert (kind is OutcomeKind.STANDARD_TIGHT) == tight_by_representative(c.slopes), c
+            tight += kind is OutcomeKind.STANDARD_TIGHT
+        assert 1000 < tight < len(_depth8_starts()) - 1000
 
 
 class TestFindDestabilization:

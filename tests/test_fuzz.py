@@ -7,7 +7,9 @@ of its invariants and stabilized at a drawn hint, and every integer any
 parser accepts is written in ASCII decimal digits with an optional '-'.
 Chains of stabilizations from the trefoil fronts are checked against a
 full build of each front they reach, and normalize on random Farey
-triangles under far monodromy shifts against the walk of public moves.
+triangles under far monodromy shifts against the helpers' plain walk, with
+every triple it reaches a Farey triangle and its verdict the one read off
+the representative.
 """
 
 import re
@@ -24,11 +26,21 @@ from helpers import (
     front_state,
     plain_walk,
     same_orbit,
+    spans_farey_triangle,
     strand_profile,
     three_colorings,
+    tight_by_representative,
+    trace_moves,
     traced_invariants,
 )
-from legknot.bypass import OutcomeKind, make_config, monodromy_config, normalize, type_iii
+from legknot.bypass import (
+    OutcomeKind,
+    make_config,
+    monodromy_config,
+    normalize,
+    type_i,
+    type_iii,
+)
 from legknot.classify import Sign, parse_knot
 from legknot.errors import LegknotError, NoSuchStrand, decimal
 from legknot.front import FrontDiagram, invariants, parse_front, stabilize_diagram
@@ -182,6 +194,16 @@ def test_normalize_matches_the_plain_walk(tri, shift):
     assert (out.trace, out.steps) == (trace, len(trace))
     tight = out.kind is OutcomeKind.STANDARD_TIGHT
     assert same_orbit(end, TIGHT_TRIANGLE if tight else OVERTWISTED_TRIANGLE)
+
+
+@FUZZ
+@given(_farey_triangles(), st.integers(-200, 200), st.booleans())
+def test_trace_triples_span_farey_triangles(tri, shift, one_class):
+    c = monodromy_config(type_i(tri[2], 3, 1) if one_class else type_iii(tri, (1, 1, 1)), shift)
+    out = normalize(c)
+    for tag, _, after in trace_moves(out.trace):
+        assert spans_farey_triangle(after), (tag, after)
+    assert (out.kind is OutcomeKind.STANDARD_TIGHT) == tight_by_representative(c.slopes)
 
 
 _slopes = st.one_of(

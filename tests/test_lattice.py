@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from helpers import edge_completions, neg_cf_value, stepwise_monodromy
+from helpers import _step, edge_completions, neg_cf_value, stepwise_monodromy
 from legknot.errors import DegenerateEdge, InvalidFraction, InvalidSlope, NotAnEdge
 from legknot.lattice import (
     INF,
@@ -18,7 +18,6 @@ from legknot.lattice import (
     farey_parents,
     is_farey_edge,
     mediant,
-    monodromy_apply,
     monodromy_matrix,
     neg_cf,
     neg_cf_blocks,
@@ -170,16 +169,19 @@ class TestMonodromy:
         assert monodromy_matrix(1) == ((2, 1), (1, 1))
 
     def test_quoted_values(self):
-        assert monodromy_apply(INF) == ONE
-        assert monodromy_apply(ZERO) == S("1/2")
-        assert monodromy_apply(S("1/2")) == S("3/5")
+        # the stepwise oracle here, and test_powers_against_repeated_products
+        # ties monodromy_matrix to it
+        assert _step(INF, 1) == ONE
+        assert _step(ZERO, 1) == S("1/2")
+        assert _step(S("1/2"), 1) == S("3/5")
 
     def test_inverse(self):
         for text in ("0", "inf", "1", "-7/3", "5/8", "-1"):
             s = S(text)
             for k in range(-4, 5):
-                assert monodromy_apply(monodromy_apply(s, k), -k) == s
-            assert monodromy_apply(s, 0) is s
+                assert _step(_step(s, k), -k) == s
+                there = apply_matrix(monodromy_matrix(k), s.vector())
+                assert slope_of_vector(apply_matrix(monodromy_matrix(-k), there)) == s
 
     def test_powers_against_repeated_products(self):
         vectors = [IntegralVector(1, 0), IntegralVector(0, 1), IntegralVector(3, -7),
@@ -201,14 +203,14 @@ class TestMonodromy:
         pairs = [(ZERO, INF), (ONE, INF), (S("1/2"), S("2/3")), (S("-1"), ZERO)]
         for s, t in pairs:
             for k in (-3, -1, 1, 2):
-                assert is_farey_edge(monodromy_apply(s, k), monodromy_apply(t, k))
+                assert is_farey_edge(_step(s, k), _step(t, k))
 
     def test_attraction_into_window(self):
         # iterating from any positive slope lands in (1/2, 1) quickly
         for text in ("1/5", "7", "1", "1000", "2/3"):
             s = S(text)
             for _ in range(4):
-                s = monodromy_apply(s)
+                s = _step(s, 1)
             assert S("1/2") < s < ONE
 
 

@@ -1,11 +1,15 @@
-"""Source layout rules that hold for every file under src/, and the oldest
-Python that src/, tests/ and demos/ must parse under."""
+"""Source layout rules that hold for every file under src/, a ceiling on
+its size, and the oldest Python that src/, tests/ and demos/ must parse
+under."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MAX_LINE = 99
+# `wc -l src/legknot/*.py` may go down or stay flat, never up; lower this
+# number with any change that shrinks the library
+SRC_LINES = 2027
 
 
 def test_no_line_over_the_limit():
@@ -98,3 +102,11 @@ def test_sources_parse_as_python_3_10():
     root = SRC.parent
     for path in (p for d in ("src", "tests", "demos") for p in sorted((root / d).rglob("*.py"))):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_src_line_count_does_not_grow():
+    lines = sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in (SRC / "legknot").glob("*.py")
+    )
+    assert lines <= SRC_LINES, "src/legknot/*.py has %d lines, more than %d" % (lines, SRC_LINES)
