@@ -4,15 +4,21 @@ Subcommands expose one computation each with line-oriented, byte-stable
 output.  Exit codes: 0 success, 1 invalid input, 2 valid query whose
 mathematical answer is negative (predicates only), 3 a step limit below
 the exact move count.  A usage error is invalid input too (exit 1).  Each
-subparser names its handler; a handler returns its exit code and output
-text, and ``main`` writes the text only after the handler returned, so
-exits 1 and 3 leave stdout empty.
+subparser names a handler, which makes every refusal first (MountainRange
+constructor; peak count of ``classify``, after its tb/rot check, and of
+``valleys``; term count of ``farey-cf``; move count and step limit of
+``bypass-normalize``), then returns its exit code and text chunks: one per
+tb row for ``range``, else one.  ``main`` writes them as they come, so
+exits 1 and 3 leave stdout empty; an error mid-stream leaves the partial
+stdout, one ``error:`` line and exit 1 (3 for NonTermination); and a reader
+that closes stdout early ends the run quietly, with the handler's exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import bypass, classify, convex, front, lattice, transversal
@@ -23,51 +29,43 @@ __all__ = ["main", "render_range"]
 
 def render_range(r: classify.MountainRange, format: str = "tsv") -> str:
     """Render a mountain range as TSV lines or a static SVG plot."""
+    return "".join(_range_chunks(r, format))
+
+
+def _range_chunks(r: classify.MountainRange, format: str):
+    """One chunk per tb row; the SVG adds a head, a second pass over the rows and a tail."""
+    if format not in ("tsv", "svg"):
+        raise LegknotError("unknown range format %r" % format)
     if format == "tsv":
-        return "".join("".join("%d\t%d\n" % (tb, rot) for rot in rots) for tb, rots in r.rows())
-    if format == "svg":
-        return _render_svg(r, list(r.rows()))
-    raise LegknotError("unknown range format %r" % format)
-
-
-def _render_svg(r: classify.MountainRange, rows) -> str:
-    step = 24
-    pad = 30
-    tmax = rows[0][0]
-    rmin, rmax = rows[-1][1][0], rows[-1][1][-1]  # the bottom row is the widest
-    width = pad * 2 + (rmax - rmin) * step
-    height = pad * 2 + r.depth * step
-
-    def xy(tb, rot):
-        return pad + (rot - rmin) * step, pad + (tmax - tb) * step
-
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 %d %d">' % (width, height),
-        "<title>Legendrian mountain range of %s</title>" % r.knot,
-        "<defs>",
+        yield from ("".join("%d\t%d\n" % (tb, rot) for rot in rots) for tb, rots in r.rows())
+        return
+    step, pad = 24, 30
+    peak_rots = classify.peak_rotations(r.knot)
+    rmin, rmax = min(peak_rots) - r.depth, max(peak_rots) + r.depth  # the bottom row's ends
+    ys = range(pad, pad + r.depth * step + 1, step)  # each row's y, top down
+    yield (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 %d %d">\n'
+        "<title>Legendrian mountain range of %s</title>\n<defs>\n"
         '<marker id="arrow" viewBox="0 0 6 6" refX="5" refY="3" markerWidth="5" '
-        'markerHeight="5" orient="auto"><path d="M0,0 L6,3 L0,6 z"/></marker>',
-        "</defs>",
-    ]
-    for tb, rots in rows[:-1]:  # cones are closed: a class above the bottom has both children
-        for rot in rots:
-            x1, y1 = xy(tb, rot)
-            for x2 in (x1 - step, x1 + step):  # the children (tb - 1, rot -+ 1)
-                out.append(
-                    '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="gray" '
-                    'stroke-width="1" marker-end="url(#arrow)"/>' % (x1, y1, x2, y1 + step)
-                )
-    for tb, rots in rows:
-        for rot in rots:
-            x, y = xy(tb, rot)
-            out.append('<circle cx="%d" cy="%d" r="4"/>' % (x, y))
-            out.append(
-                '<text x="%d" y="%d" font-size="9" text-anchor="middle">(%d,%d)</text>'
-                % (x, y - 8, tb, rot)
-            )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        'markerHeight="5" orient="auto"><path d="M0,0 L6,3 L0,6 z"/></marker>\n</defs>\n'
+        % (pad * 2 + (rmax - rmin) * step, ys[-1] + pad, r.knot)
+    )
+    # arrows: a class above the bottom row has both children (tb - 1, rot -+ 1)
+    for y, (_, rots) in zip(ys[:-1], r.rows()):
+        yield "".join([
+            '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="gray" stroke-width="1" '
+            'marker-end="url(#arrow)"/>\n' % (x, y, x2, y + step)
+            for x in (pad + (rot - rmin) * step for rot in rots)
+            for x2 in (x - step, x + step)
+        ])
+    for y, (tb, rots) in zip(ys, r.rows()):
+        yield "".join([
+            '<circle cx="%d" cy="%d" r="4"/>\n<text x="%d" y="%d" font-size="9" '
+            'text-anchor="middle">(%d,%d)</text>\n' % (x, y, x, y - 8, tb, rot)
+            for rot in rots for x in [pad + (rot - rmin) * step]
+        ])
+    yield "</svg>\n"
 
 
 def _read_front(path: str) -> front.FrontDiagram:
@@ -83,32 +81,31 @@ def _invariants(args):
         inv.tb, inv.rot, inv.writhe, inv.right_cusps
     )
     if args.knot is None:
-        return 0, text
-    if front.bennequin_compatible(inv, classify.parse_knot(args.knot)):
-        return 0, text + "bennequin=ok\n"
-    return 2, text + "bennequin=violated\n"
+        return 0, [text]
+    ok = front.bennequin_compatible(inv, classify.parse_knot(args.knot))
+    return (0 if ok else 2), [text + "bennequin=%s\n" % ("ok" if ok else "violated")]
 
 
 def _classify(args):
     knot = classify.parse_knot(args.knot)
+    if args.tb is not None and args.rot is None:
+        raise LegknotError("classify needs both tb and rot (or neither)")
     text = "knot=%s\nmax_tb=%d\npeak_rotations=%s\n" % (
         knot,
         classify.max_tb(knot),
         ",".join(str(r) for r in sorted(classify.peak_rotations(knot))),
     )
     if args.tb is None:
-        return 0, text
-    if args.rot is None:
-        raise LegknotError("classify needs both tb and rot (or neither)")
+        return 0, [text]
     ok = classify.realizable(knot, args.tb, args.rot)
-    return (0 if ok else 2), text + "realizable=%s\n" % ("true" if ok else "false")
+    return (0 if ok else 2), [text + "realizable=%s\n" % ("true" if ok else "false")]
 
 
 def _isotopic(args):
     a = classify.LegendrianClass(classify.parse_knot(args.knot1), args.tb1, args.rot1)
     b = classify.LegendrianClass(classify.parse_knot(args.knot2), args.tb2, args.rot2)
     verdict = classify.decide_isotopy(a, b)
-    return (0 if verdict is classify.Verdict.ISOTOPIC else 2), verdict.value + "\n"
+    return (0 if verdict is classify.Verdict.ISOTOPIC else 2), [verdict.value + "\n"]
 
 
 def _valleys(args):
@@ -118,7 +115,7 @@ def _valleys(args):
         classify.common_destabilization(knot, peak_list[i], peak_list[i + 1])
         for i in range(len(peak_list) - 1)
     ]
-    return 0, "".join("%d\t%d\n" % p for p in sorted(meets, key=lambda p: (-p[0], p[1])))
+    return 0, ["".join("%d\t%d\n" % p for p in sorted(meets, key=lambda p: (-p[0], p[1])))]
 
 
 def _farey_cf(args):
@@ -127,13 +124,13 @@ def _farey_cf(args):
     if terms > classify.MAX_ROWS:
         raise Unsupported("-%d/%d has %d continued-fraction terms, more than the cap of %d"
                           % (args.p, args.q, terms, classify.MAX_ROWS))
-    return 0, "".join(("%d " % r) * run for r, run in blocks)[:-1] + "\n"
+    return 0, ["".join(("%d " % r) * run for r, run in blocks)[:-1] + "\n"]
 
 
 def _bypass_normalize(args):
     outcome = bypass.normalize(bypass.make_config(args.config), args.step_limit)
     lines = ["outcome=%s" % outcome.kind.value, "steps=%d" % outcome.steps, *outcome.trace]
-    return 0, "".join(line + "\n" for line in lines)
+    return 0, ["".join(line + "\n" for line in lines)]
 
 
 def _bounds(args):
@@ -141,9 +138,9 @@ def _bounds(args):
     text = "bennequin=%d\n" % report.bennequin
     if report.fuchs_tabachnikov is not None:
         text += "fuchs_tabachnikov=%d\n" % report.fuchs_tabachnikov
-    return 0, text + "max_tb=%d\nstrict=%s\n" % (
+    return 0, [text + "max_tb=%d\nstrict=%s\n" % (
         report.max_tb, "true" if report.strict else "false"
-    )
+    )]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knot", required=True)
     p.add_argument("--depth", required=True, type=decimal)
     p.add_argument("--format", choices=("tsv", "svg"), default="tsv")
-    p.set_defaults(run=lambda a: (0, render_range(
+    p.set_defaults(run=lambda a: (0, _range_chunks(
         classify.mountain_range(classify.parse_knot(a.knot), a.depth), a.format
     )))
 
@@ -230,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("p", type=decimal)
     p.add_argument("q", type=decimal)
-    p.set_defaults(run=lambda a: (0, "%d\n" % convex.tight_count(a.p, a.q)))
+    p.set_defaults(run=lambda a: (0, ["%d\n" % convex.tight_count(a.p, a.q)]))
 
     p = sub.add_parser(
         "bypass-normalize",
@@ -248,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(equals max of tb + r over Legendrian peaks)",
     )
     p.add_argument("knot")
-    p.set_defaults(run=lambda a: (0, "%d\n" % transversal.max_sl(classify.parse_knot(a.knot))))
+    p.set_defaults(run=lambda a: (0, ["%d\n" % transversal.max_sl(classify.parse_knot(a.knot))]))
 
     p = sub.add_parser(
         "transversal-iterated",
@@ -257,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("cables", help="cabling list 'p1,q1;p2,q2;...'")
     p.set_defaults(run=lambda a: (
-        0, "%d\n" % transversal.iterated_max_sl(transversal.parse_cables(a.cables))
+        0, ["%d\n" % transversal.iterated_max_sl(transversal.parse_cables(a.cables))]
     ))
 
     p = sub.add_parser(
@@ -274,14 +271,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code, text = args.run(args)
+        code, chunks = args.run(args)
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # inside the try, so that a closed pipe is caught here too
+    except BrokenPipeError:  # the reader closed stdout: stop, and flush to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except NonTermination as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except (LegknotError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    sys.stdout.write(text)
     return code
 
 

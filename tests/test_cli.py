@@ -1,6 +1,10 @@
 import io
+import os
+import subprocess
+import sys
 import types
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,14 @@ from helpers import (
 from legknot import classify, convex, lattice
 from legknot.classify import mountain_range, torus, unknot
 from legknot.cli import _build_parser, main, render_range
+from legknot.errors import LegknotError, NonTermination
+
+ROOT = Path(__file__).resolve().parents[1]
+_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def _legknot(*argv):
+    return [sys.executable, "-m", "legknot.cli", *argv]
 
 
 def run(capsys, *argv):
@@ -102,6 +114,13 @@ class TestClassifyAndIsotopic:
         code, out = run(capsys, "classify", "torus:-7,3", "-22")
         assert code == 1 and out == ""
 
+    def test_classify_missing_rot_refused_before_the_peaks(self, capsys, monkeypatch):
+        monkeypatch.setattr(classify, "peak_rotations",
+                            lambda k: pytest.fail("the peaks were built before the refusal"))
+        assert main(["classify", "torus:-1000000001,3", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured == ("", "error: classify needs both tb and rot (or neither)\n")
+
     def test_classify_negative_answer(self, capsys):
         code, out = run(capsys, "classify", "torus:-7,3", "-21", "0")
         assert code == 2 and "realizable=false" in out
@@ -171,6 +190,8 @@ def test_range_draws_the_cone_scan(k, capsys):
         assert code == 0
         root = ET.fromstring(out)
         tmax, rmin = pairs[0][0], min(rot for _, rot in pairs)
+        rmax = max(rot for _, rot in pairs)
+        assert root.get("viewBox") == "0 0 %d %d" % (60 + 24 * (rmax - rmin), 60 + 24 * depth)
 
         def xy(tb, rot):
             return 30 + 24 * (rot - rmin), 30 + 24 * (tmax - tb)
@@ -205,6 +226,98 @@ class TestSvg:
         text = render_range(mountain_range(unknot(), 1), "svg")
         assert text.count("<circle") == 3
         assert ET.fromstring(text) is not None
+
+    def test_render_range_refuses_an_unknown_format(self):
+        with pytest.raises(LegknotError, match="unknown range format 'png'"):
+            render_range(mountain_range(unknot(), 1), "png")
+
+
+class _Recorder(io.StringIO):
+    """A stdout that keeps each write call's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+class TestStreaming:
+    """main writes a handler's chunks as they come: for range, one per tb row."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 5])
+    def test_range_writes_whole_rows(self, monkeypatch, depth):
+        out = _Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["range", "--knot", "torus:-7,3", "--depth", str(depth)]) == 0
+        assert len(out.writes) == depth + 1
+        for d, chunk in enumerate(out.writes):  # every class of the row d below the top
+            assert chunk.endswith("\n")
+            assert {line.split("\t")[0] for line in chunk.splitlines()} == {str(-21 - d)}
+
+    @pytest.mark.parametrize("error, code", [(LegknotError, 1), (NonTermination, 3)])
+    @pytest.mark.parametrize("fmt", ["tsv", "svg"])
+    def test_error_mid_stream_keeps_what_was_written(self, capsys, monkeypatch, error, code, fmt):
+        rows = classify.MountainRange.rows
+
+        def first_row_then_fail(r):
+            yield next(rows(r))
+            raise error("failed after the first row")
+
+        monkeypatch.setattr(classify.MountainRange, "rows", first_row_then_fail)
+        assert main(["range", "--knot", "unknot", "--depth", "2", "--format", fmt]) == code
+        captured = capsys.readouterr()
+        assert captured.err == "error: failed after the first row\n"
+        if fmt == "tsv":
+            assert captured.out == "-1\t0\n"
+        else:  # the head and the arrows of the top row, then no tail
+            assert captured.out.startswith("<?xml") and captured.out.count("<line") == 2
+            assert "</svg>" not in captured.out
+
+
+class TestProcess:
+    # a closed pipe ends the run quietly whether stdout is block-buffered (the
+    # default for a pipe) or written through (PYTHONUNBUFFERED)
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_closing_early_ends_the_run_quietly(self, tmp_path, unbuffered):
+        with open(tmp_path / "stderr", "w+b") as err:
+            proc = subprocess.Popen(_legknot("range", "--knot", "unknot", "--depth", "1412"),
+                                    stdout=subprocess.PIPE, stderr=err,
+                                    env=dict(_ENV, PYTHONUNBUFFERED=unbuffered))
+            try:
+                head = proc.stdout.read(10)
+                proc.stdout.close()  # the reader goes away with about 9.9 MB still to write
+                assert proc.wait(timeout=60) == 0
+            finally:
+                proc.kill()  # does nothing once the process has been waited for
+            err.seek(0)
+            assert err.read() == b""
+        assert head == b"-1\t0\n-2\t-1"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_gone_before_the_first_byte(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(_legknot("farey-count", "7", "3"), stdout=write_end,
+                                  stderr=subprocess.PIPE, timeout=60,
+                                  env=dict(_ENV, PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
+
+    @pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "wait4"),
+                        reason="reads ru_maxrss from os.wait4 in KiB, as Linux reports it")
+    def test_svg_range_memory_stays_small(self):
+        # 346,150 classes and 113 MB of SVG; held whole, they peaked at 434 MB
+        argv = _legknot("range", "--knot", "torus:-1001,2", "--depth", "300", "--format", "svg")
+        pid = os.posix_spawn(sys.executable, argv, _ENV, file_actions=[
+            (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+        _, status, usage = os.wait4(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert usage.ru_maxrss < 100 * 1024, "peak RSS %d KiB" % usage.ru_maxrss
 
 
 class TestFareyCommands:
