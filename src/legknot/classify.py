@@ -13,24 +13,24 @@ data implemented here:
   negative torus  tb = pq,         rotation +-(|p| - q - 2qk), 0 <= k < floor(|p|/q)
   figure eight    tb = -3,         rotation 0
 
-Every peak set is one progression and its negatives: rotations
-+-(top - i*step) for 0 <= i < count, with (top, count, step) equal to
-(|p| - q, floor(|p|/q), 2q) for negative torus knots and (0, 1, 2)
-otherwise.  The step is even, so every peak has the parity of top.  For
-a negative torus knot the two progressions never meet, because q does
-not divide |p|.  Point queries (realizability, the peak test, adjacency,
+So every peak set is one progression and its negatives, +-(top - i*step)
+for 0 <= i < count, with (top, count, step) = (|p| - q, floor(|p|/q), 2q)
+for negative torus knots and (0, 1, 2) otherwise; every peak has the
+parity of top.  Point queries (realizability, the peak test, adjacency,
 maximal self-linking) are O(1) arithmetic on (top, count, step).
 
-The valleys of a negative torus knot are the first meeting points of
-adjacent peak cones.  With |p| = mq + e and 0 < e < q, the 2m sorted peak
-rotations alternate m gaps of 2e and m - 1 gaps of 2(q - e), both below
-2q.  Two peaks that are not neighbours span at least two consecutive
-gaps, one of each kind, so at least 2q.  Two distinct peaks are
-therefore adjacent exactly when their rotations differ by less than 2q.
+For a negative torus knot write |p| = mq + e with 0 < e < q.  The negated
+progression starts at -top and the other 2e above it, so the two
+interleave: the 2m sorted peaks alternate m gaps of 2e and m - 1 gaps of
+2(q - e).  Peaks that are not neighbours span a gap of each kind, at
+least 2q, so two distinct peaks are adjacent exactly when they differ by
+less than 2q.  Cones 2g apart first meet at depth g, halfway between, so
+the valleys are tb = max_tb - e at rotations -top + e + 2qi (0 <= i < m)
+and tb = max_tb - (q - e) at -top + q + e + 2qi (0 <= i < m - 1): two
+progressions, or one of step q when e = q - e (q = 2).
 
-The enumerations (peaks, peak_rotations, MountainRange) are large by
-nature, so they count their output exactly before building it and raise
-Unsupported when it exceeds MAX_ROWS rows.
+The enumerations (peak_rotations, the valley rows, MountainRange) count
+their output exactly before building it and raise Unsupported past MAX_ROWS.
 """
 
 from __future__ import annotations
@@ -43,27 +43,10 @@ from math import gcd
 from .errors import InvalidKnot, NotAdjacent, Unrealizable, Unsupported, decimal
 
 __all__ = [
-    "Sign",
-    "Verdict",
-    "KnotType",
-    "LegendrianClass",
-    "Peak",
-    "MountainRange",
-    "BoundsReport",
-    "unknot",
-    "torus",
-    "figure_eight",
-    "parse_knot",
-    "euler_char",
-    "max_tb",
-    "peak_rotations",
-    "peaks",
-    "realizable",
-    "decide_isotopy",
-    "stabilize_class",
-    "mountain_range",
-    "common_destabilization",
-    "bounds_report",
+    "Sign", "Verdict", "KnotType", "LegendrianClass", "Peak", "MountainRange", "BoundsReport",
+    "unknot", "torus", "figure_eight", "parse_knot", "euler_char", "max_tb", "peak_rotations",
+    "peaks", "realizable", "decide_isotopy", "stabilize_class", "mountain_range",
+    "common_destabilization", "bounds_report",
 ]
 
 MAX_ROWS = 10**6  # the most rows an enumeration builds
@@ -177,11 +160,19 @@ def _check_rows(k: KnotType, rows: int) -> None:
         raise Unsupported("%s: up to %d rows, more than the cap of %d" % (k, rows, MAX_ROWS))
 
 
-def peak_rotations(k: KnotType) -> set[int]:
-    """Rotation numbers realized at maximal tb."""
+def _sorted_peak_rotations(k: KnotType) -> list[int]:
+    """The peak rotations ascending: the two progressions interleaved."""
     top, count, step = _progression(k)
     _check_rows(k, 2 * count)
-    return {sign * (top - i * step) for i in range(count) for sign in (1, -1)}
+    rots = [0] * (2 * count)
+    rots[::2] = range(-top, count * step - top, step)
+    rots[1::2] = range(top - (count - 1) * step, top + 1, step)
+    return rots if top else [0]
+
+
+def peak_rotations(k: KnotType) -> set[int]:
+    """Rotation numbers realized at maximal tb."""
+    return set(_sorted_peak_rotations(k))
 
 
 @dataclass(frozen=True)
@@ -193,7 +184,7 @@ class Peak:
 def peaks(k: KnotType) -> tuple[Peak, ...]:
     """All maximal-tb classes, rotation descending."""
     t = max_tb(k)
-    return tuple(Peak(t, r) for r in sorted(peak_rotations(k), reverse=True))
+    return tuple(Peak(t, r) for r in reversed(_sorted_peak_rotations(k)))
 
 
 def realizable(k: KnotType, tb: int, rot: int) -> bool:
@@ -207,13 +198,6 @@ def realizable(k: KnotType, tb: int, rot: int) -> bool:
         if abs(r - top + i * step) <= depth:
             return True
     return False
-
-
-def _is_peak(k: KnotType, a) -> bool:
-    top, count, step = _progression(k)
-    if not isinstance(a, Peak) or a.tb != max_tb(k):
-        return False
-    return any(0 <= top - r < count * step and (top - r) % step == 0 for r in (a.rot, -a.rot))
 
 
 @dataclass(frozen=True)
@@ -262,7 +246,7 @@ class MountainRange:
     def rows(self):
         """(tb, rots) for each depth from the top down, rots ascending."""
         top = max_tb(self.knot)
-        peak_rots = sorted(peak_rotations(self.knot))
+        peak_rots = _sorted_peak_rotations(self.knot)
         for d in range(self.depth + 1):
             rots, lo = [], peak_rots[0] - d  # lo: the least rotation at depth d not yet listed
             for r in peak_rots:
@@ -295,6 +279,19 @@ def mountain_range(k: KnotType, depth: int) -> MountainRange:
     return MountainRange(k, depth)
 
 
+def _valley_rows(k: KnotType) -> list[tuple[int, range]]:
+    """The valleys as (tb, rots) rows, tb descending and rots ascending."""
+    top, count, step = _progression(k)
+    _check_rows(k, 2 * count)
+    if not top:  # one peak: not a negative torus knot
+        return []
+    t, q, e = max_tb(k), k.q, -k.p % k.q
+    if 2 * e == q:  # the two progressions share their tb and merge
+        return [(t - e, range(e - top, top, q))]
+    rows = [(t - e, range(e - top, top, step)), (t - q + e, range(q + e - top, top, step))]
+    return rows if 2 * e < q else rows[::-1]
+
+
 def common_destabilization(k: KnotType, a: Peak, b: Peak) -> tuple[int, int]:
     """First class where the cones of two adjacent peaks meet.
 
@@ -303,7 +300,8 @@ def common_destabilization(k: KnotType, a: Peak, b: Peak) -> tuple[int, int]:
     """
     if k.kind != "torus" or k.p > 0:
         raise Unsupported("valleys exist only for negative torus knots")
-    if not (_is_peak(k, a) and _is_peak(k, b)):
+    t = max_tb(k)
+    if not all(isinstance(x, Peak) and x.tb == t and realizable(k, t, x.rot) for x in (a, b)):
         raise NotAdjacent("inputs must be peaks of %s" % k)
     if a == b:
         raise NotAdjacent("peaks are equal")
@@ -311,7 +309,7 @@ def common_destabilization(k: KnotType, a: Peak, b: Peak) -> tuple[int, int]:
     if hi.rot - lo.rot >= 2 * k.q:  # a third peak lies between them
         raise NotAdjacent("peaks %s and %s are not adjacent" % (a, b))
     g = (hi.rot - lo.rot) // 2
-    return (max_tb(k) - g, hi.rot - g)
+    return (t - g, hi.rot - g)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ subparser names a handler, which makes every refusal first (MountainRange
 constructor; peak count of ``classify``, after its tb/rot check, and of
 ``valleys``; term count of ``farey-cf``; move count and step limit of
 ``bypass-normalize``), then returns its exit code and text chunks: one per
-tb row for ``range``, else one.  ``main`` writes them as they come, so
-exits 1 and 3 leave stdout empty; an error mid-stream leaves the partial
-stdout, one ``error:`` line and exit 1 (3 for NonTermination); and a reader
-that closes stdout early ends the run quietly, with the handler's exit code.
+tb row for ``range`` and ``valleys``, else one.  ``main`` writes them as
+they come, so exits 1 and 3 leave stdout empty; an error mid-stream leaves
+the partial stdout, one ``error:`` line and exit 1 (3 for NonTermination);
+and a reader that closes stdout early ends the run quietly, with the
+handler's exit code.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ def _range_chunks(r: classify.MountainRange, format: str):
     if format not in ("tsv", "svg"):
         raise LegknotError("unknown range format %r" % format)
     if format == "tsv":
-        yield from ("".join("%d\t%d\n" % (tb, rot) for rot in rots) for tb, rots in r.rows())
+        yield from map(_tsv_row, r.rows())
         return
     step, pad = 24, 30
-    peak_rots = classify.peak_rotations(r.knot)
-    rmin, rmax = min(peak_rots) - r.depth, max(peak_rots) + r.depth  # the bottom row's ends
+    top = classify._progression(r.knot)[0]
+    rmin, rmax = -top - r.depth, top + r.depth  # the bottom row's ends
     ys = range(pad, pad + r.depth * step + 1, step)  # each row's y, top down
     yield (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -68,6 +69,12 @@ def _range_chunks(r: classify.MountainRange, format: str):
     yield "</svg>\n"
 
 
+def _tsv_row(row) -> str:
+    """One "tb\trot" line per rotation of a (tb, rots) row, formatted in one call."""
+    tb, rots = row
+    return ("%d\t%%d\n" % tb * len(rots)) % tuple(rots)
+
+
 def _read_front(path: str) -> front.FrontDiagram:
     if path == "-":
         return front.parse_front(sys.stdin.buffer.read())
@@ -91,10 +98,7 @@ def _classify(args):
     if args.tb is not None and args.rot is None:
         raise LegknotError("classify needs both tb and rot (or neither)")
     text = "knot=%s\nmax_tb=%d\npeak_rotations=%s\n" % (
-        knot,
-        classify.max_tb(knot),
-        ",".join(str(r) for r in sorted(classify.peak_rotations(knot))),
-    )
+        knot, classify.max_tb(knot), ",".join(map(str, classify._sorted_peak_rotations(knot))))
     if args.tb is None:
         return 0, [text]
     ok = classify.realizable(knot, args.tb, args.rot)
@@ -106,16 +110,6 @@ def _isotopic(args):
     b = classify.LegendrianClass(classify.parse_knot(args.knot2), args.tb2, args.rot2)
     verdict = classify.decide_isotopy(a, b)
     return (0 if verdict is classify.Verdict.ISOTOPIC else 2), [verdict.value + "\n"]
-
-
-def _valleys(args):
-    knot = classify.parse_knot(args.knot)
-    peak_list = classify.peaks(knot)
-    meets = [
-        classify.common_destabilization(knot, peak_list[i], peak_list[i + 1])
-        for i in range(len(peak_list) - 1)
-    ]
-    return 0, ["".join("%d\t%d\n" % p for p in sorted(meets, key=lambda p: (-p[0], p[1])))]
 
 
 def _farey_cf(args):
@@ -209,7 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "torus knot (valley lemma via |p| = mq + e)",
     )
     p.add_argument("--knot", required=True)
-    p.set_defaults(run=_valleys)
+    p.set_defaults(run=lambda a: (
+        0, map(_tsv_row, classify._valley_rows(classify.parse_knot(a.knot)))
+    ))
 
     p = sub.add_parser(
         "farey-cf",

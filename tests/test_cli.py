@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -26,6 +27,25 @@ _ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 def _legknot(*argv):
     return [sys.executable, "-m", "legknot.cli", *argv]
+
+
+# Spawns legknot from a fresh interpreter and prints its exit code and
+# ru_maxrss.  A child's ru_maxrss starts from the RSS of the process that
+# spawned it, so spawning from the test process would count its memory too.
+_RSS_PROBE = """import os, sys
+pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss(*argv):
+    """Exit code and peak RSS in KiB of one legknot run with stdout to /dev/null."""
+    done = subprocess.run([sys.executable, "-c", _RSS_PROBE, *_legknot(*argv)], env=_ENV,
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, kib = map(int, done.stdout.split())
+    return code, kib
 
 
 def run(capsys, *argv):
@@ -115,7 +135,7 @@ class TestClassifyAndIsotopic:
         assert code == 1 and out == ""
 
     def test_classify_missing_rot_refused_before_the_peaks(self, capsys, monkeypatch):
-        monkeypatch.setattr(classify, "peak_rotations",
+        monkeypatch.setattr(classify, "_sorted_peak_rotations",
                             lambda k: pytest.fail("the peaks were built before the refusal"))
         assert main(["classify", "torus:-1000000001,3", "0"]) == 1
         captured = capsys.readouterr()
@@ -174,6 +194,33 @@ class TestRangeAndValleys:
         code, out = run(capsys, "valleys", "--knot", "torus:-7,3")
         assert code == 0
         assert out == "-22\t-3\n-22\t3\n-23\t0\n"
+
+    # e = 1 < q - e = 2 for torus:-7,3 and e = 3 > q - e = 1 for torus:-11,4,
+    # so the two valley rows come in either order
+    @pytest.mark.parametrize("knot, valleys, peaks, tsv, svg_sha256", [
+        ("torus:-7,3", "-22\t-3\n-22\t3\n-23\t0\n", "-4,-2,2,4",
+         "-21\t-4\n-21\t-2\n-21\t2\n-21\t4\n-22\t-5\n-22\t-3\n-22\t-1\n-22\t1\n-22\t3\n"
+         "-22\t5\n-23\t-6\n-23\t-4\n-23\t-2\n-23\t0\n-23\t2\n-23\t4\n-23\t6\n",
+         "c007b976402b1d2faa60d29786f7ab95d7f944dc2e74e47fda6d6cfdd0fd3999"),
+        ("torus:-11,4", "-45\t0\n-47\t-4\n-47\t4\n", "-7,-1,1,7",
+         "-44\t-7\n-44\t-1\n-44\t1\n-44\t7\n-45\t-8\n-45\t-6\n-45\t-2\n-45\t0\n-45\t2\n"
+         "-45\t6\n-45\t8\n-46\t-9\n-46\t-7\n-46\t-5\n-46\t-3\n-46\t-1\n-46\t1\n-46\t3\n"
+         "-46\t5\n-46\t7\n-46\t9\n",
+         "a76ab132df7167d08a4a3fb796bad44ce1f0278ac20dff6330d8674c7219f393"),
+    ], ids=["torus:-7,3", "torus:-11,4"])
+    def test_output_built_without_peak_objects(self, capsys, monkeypatch, knot, valleys,
+                                               peaks, tsv, svg_sha256):
+        def refuse(*args):
+            pytest.fail("built Peak objects or met them pair by pair")
+
+        for name in ("peaks", "Peak", "common_destabilization"):
+            monkeypatch.setattr(classify, name, refuse)
+        assert run(capsys, "valleys", "--knot", knot) == (0, valleys)
+        code, out = run(capsys, "classify", knot)
+        assert (code, out.splitlines()[-1]) == (0, "peak_rotations=" + peaks)
+        assert run(capsys, "range", "--knot", knot, "--depth", "2") == (0, tsv)
+        code, out = run(capsys, "range", "--knot", knot, "--depth", "2", "--format", "svg")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, svg_sha256)
 
 
 @pytest.mark.parametrize("k", GRID, ids=str)
@@ -312,12 +359,18 @@ class TestProcess:
                         reason="reads ru_maxrss from os.wait4 in KiB, as Linux reports it")
     def test_svg_range_memory_stays_small(self):
         # 346,150 classes and 113 MB of SVG; held whole, they peaked at 434 MB
-        argv = _legknot("range", "--knot", "torus:-1001,2", "--depth", "300", "--format", "svg")
-        pid = os.posix_spawn(sys.executable, argv, _ENV, file_actions=[
-            (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
-        _, status, usage = os.wait4(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        assert usage.ru_maxrss < 100 * 1024, "peak RSS %d KiB" % usage.ru_maxrss
+        code, kib = _peak_rss("range", "--knot", "torus:-1001,2", "--depth", "300",
+                              "--format", "svg")
+        assert code == 0
+        assert kib < 100 * 1024, "peak RSS %d KiB" % kib
+
+    @pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "wait4"),
+                        reason="reads ru_maxrss from os.wait4 in KiB, as Linux reports it")
+    def test_valleys_memory_stays_small(self):
+        # 999,999 valleys in one row; built as Peak pairs they peaked at 383 MB
+        code, kib = _peak_rss("valleys", "--knot", "torus:-1000001,2")
+        assert code == 0
+        assert kib < 150 * 1024, "peak RSS %d KiB" % kib
 
 
 class TestFareyCommands:

@@ -5,7 +5,8 @@ progression without listing the peaks.  Here they are compared with a
 scan over every listed peak's cone on a grid of small knot types, with
 classes reached by replaying stabilizations from a peak for |p| up to
 10^9, and run with the enumerations disabled.  The row count that caps
-`mountain_range` is checked against the same cones.
+`mountain_range`, and the `valleys` and `classify` output of the CLI, are
+checked against the same cones.
 """
 
 from math import gcd
@@ -38,6 +39,7 @@ from legknot.classify import (
     torus,
     unknot,
 )
+from legknot.cli import main
 from legknot.errors import NotAdjacent, Unsupported
 from legknot.transversal import is_realizable_sl, max_sl
 
@@ -118,6 +120,8 @@ def test_point_queries_never_enumerate(monkeypatch):
 
     monkeypatch.setattr(classify, "peaks", refuse)
     monkeypatch.setattr(classify, "peak_rotations", refuse)
+    monkeypatch.setattr(classify, "_sorted_peak_rotations", refuse)
+    monkeypatch.setattr(classify, "_valley_rows", refuse)
     monkeypatch.setattr(transversal, "peaks", refuse, raising=False)
     k = torus(-1000000001, 3)
     top = -3000000003
@@ -144,6 +148,22 @@ def test_enumerations_refuse_huge_outputs():
         mountain_range(unknot(), 1413)
     with pytest.raises(Unsupported):  # 2 * (MAX_ROWS // 2 + 1) peaks
         peak_rotations(torus(-(3 * (MAX_ROWS // 2 + 1) + 1), 3))
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_cli_valleys_and_peaks_against_the_cone_scan(q, capsys):
+    """`valleys` and the `classify` peak line of every negative torus knot
+    with |p| <= 150, against the cone meets of adjacent listed peaks."""
+    for a in (a for a in range(q + 1, 151) if gcd(a, q) == 1):
+        k = torus(-a, q)
+        listed = listed_peaks(k)
+        meets = sorted((cone_scan_valley(k, hi, lo) for hi, lo in zip(listed, listed[1:])),
+                       key=lambda p: (-p[0], p[1]))
+        assert main(["valleys", "--knot", str(k)]) == 0
+        assert capsys.readouterr() == ("".join("%d\t%d\n" % p for p in meets), "")
+        assert main(["classify", str(k)]) == 0
+        peak_line = capsys.readouterr().out.splitlines()[2]
+        assert peak_line == "peak_rotations=" + ",".join(str(p.rot) for p in reversed(listed))
 
 
 @pytest.mark.parametrize("k", GRID, ids=str)
