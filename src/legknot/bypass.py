@@ -235,10 +235,9 @@ def make_config(spec: str) -> DividingConfig:
 
 def monodromy_config(c: DividingConfig, k: int) -> DividingConfig:
     """Apply the k-th monodromy power to every slope; multiplicities persist."""
-    return _map_slopes(c, monodromy_matrix(k)) if k else c
-
-
-def _map_slopes(c: DividingConfig, mat) -> DividingConfig:
+    if not k:
+        return c
+    mat = monodromy_matrix(k)
     slopes = tuple(slope_of_vector(apply_matrix(mat, s.vector())) for s in c.slopes)
     return _sorted_config(c.kind, slopes, c.mults, c.closed)
 
@@ -255,16 +254,16 @@ class MoveTag(Enum):
     EXPAND_FROM_I = "ExpandFromI"
 
 
-def _canonical(c: DividingConfig) -> tuple[int, DividingConfig]:
-    """The power k of the monodromy taking c into the canonical window,
-    and the representative M^k(c).
+def _canonical(slopes) -> tuple[int, tuple[Slope, ...]]:
+    """The power k of the monodromy taking the sorted slopes into the
+    canonical window, and the representative: their sorted image under M^k.
 
-    k is the last power at which some slope of M^k(c) lies outside
-    [1/2, 1].  The test is monotone in the power, so :func:`_first_failure`
-    finds k in O(log k) evaluations: downward from 0 when the slopes of c
-    all lie in [1/2, 1], upward otherwise.
+    k is the last power at which some slope of the image leaves [1/2, 1],
+    a test monotone in k.  One bracket keeps a slope outside at ``out`` and
+    none at ``into``: the test at 0 seeds one end, jumps of 1, 3, 7, ...
+    find the other, and bisection closes it to out + 1 = into in O(log k).
     """
-    vectors = [s.vector() for s in c.slopes]
+    vectors = [s.vector() for s in slopes]
     powers = {0: ((1, 0), (0, 1))}
 
     def inside(k):  # every slope in [1/2, 1], read off the image vectors
@@ -279,31 +278,18 @@ def _canonical(c: DividingConfig) -> tuple[int, DividingConfig]:
                 return False
         return True
 
-    if inside(0):
-        shift = _first_failure(inside, -1)
-    else:
-        shift = _first_failure(lambda k: not inside(k), 1) - 1
-    return shift, _map_slopes(c, powers[shift]) if shift else c
-
-
-def _first_failure(holds, step: int) -> int:
-    """The first k = n * step, n >= 1, at which holds(k) is false.
-
-    holds(0) is true, and along step holds stays false once false.
-    Doubling jumps bracket the answer and bisection closes the bracket:
-    O(log n) tests.
-    """
-    good, jump = 0, step
-    while holds(good + jump):
-        good, jump = good + jump, 2 * jump
-    bad = good + jump
-    while abs(bad - good) > 1:
-        mid = (good + bad) // 2
-        if holds(mid):
-            good = mid
+    step = -1 if inside(0) else 1  # toward the end that 0 does not seed
+    near, far = 0, step
+    while inside(far) == (step < 0):
+        near, far = far, 2 * far + step
+    out, into = sorted((near, far))
+    while into - out > 1:
+        mid = (out + into) // 2
+        if inside(mid):
+            into = mid
         else:
-            bad = mid
-    return bad
+            out = mid
+    return out, tuple(sorted(slope_of_vector(apply_matrix(powers[out], v)) for v in vectors))
 
 
 def _flip(rep):
@@ -408,13 +394,11 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
         raise Unsupported("verdicts are defined for three-arc configurations")
 
     trace = []
-    current = c
-    if current.kind is ConfigKind.I and current.closed > 1:
+    if c.kind is ConfigKind.I and c.closed > 1:
         # closed-curve pairs are absorbed before the arc analysis
-        trace.append("ReduceClosed %dc->1c" % current.closed)
-        current = type_i(current.slopes[0], current.mults[0], 1)
-    shift, frame = _canonical(current)
-    count = len(trace) + _move_count(frame.slopes)
+        trace.append("ReduceClosed %dc->1c" % c.closed)
+    shift, rep = _canonical(c.slopes)
+    count = len(trace) + _move_count(rep)
     if step_limit is not None and step_limit < count:
         raise NonTermination(
             "no terminal form within %d steps: %s takes %d" % (step_limit, c, count)
@@ -423,8 +407,8 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
         raise Unsupported("%s takes %d moves, more than the cap of %d" % (c, count, MAX_ROWS))
 
     back = monodromy_matrix(-shift) if shift else None
-    rep, mapped = frame.slopes, {}
-    before = ",".join(str(s) for s in current.slopes)
+    mapped = {}
+    before = ",".join(str(s) for s in c.slopes)
     while rep not in _ENDS and len(trace) < count:
         tag, rep = _first_move(rep)
         slopes = rep

@@ -104,14 +104,8 @@ class Slope:
             return str(self.num)
         return "%d/%d" % (self.num, self.den)
 
-    # Total order with inf largest.
+    # Total order with inf = 1/0 largest: no denominator is negative.
     def _cmp(self, other: "Slope") -> int:
-        if self.is_inf and other.is_inf:
-            return 0
-        if self.is_inf:
-            return 1
-        if other.is_inf:
-            return -1
         lhs = self.num * other.den
         rhs = other.num * self.den
         return (lhs > rhs) - (lhs < rhs)

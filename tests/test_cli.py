@@ -195,6 +195,11 @@ class TestRangeAndValleys:
         assert code == 0
         assert out == "-22\t-3\n-22\t3\n-23\t0\n"
 
+    @pytest.mark.parametrize("knot", ["unknot", "fig8", "torus:5,2"])
+    def test_one_peak_has_no_valleys(self, capsys, knot):
+        assert main(["valleys", "--knot", knot]) == 0
+        assert capsys.readouterr() == ("", "")
+
     # e = 1 < q - e = 2 for torus:-7,3 and e = 3 > q - e = 1 for torus:-11,4,
     # so the two valley rows come in either order
     @pytest.mark.parametrize("knot, valleys, peaks, tsv, svg_sha256", [

@@ -70,8 +70,12 @@ class TestDiskDiagrams:
             assert sum(1 for _ in noncrossing_matchings(m)) == catalan
 
     def test_crossing_matching_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cross"):
             DiskChordDiagram(2, ((0, 2), (1, 3)))
+        # chords that do not pair up the points 0..2m-1
+        for m, matching in ((2, ((0, 3),)), (2, ((0, 1), (1, 2))), (1, ((0, 2),))):
+            with pytest.raises(ValueError, match="pair the points"):
+                DiskChordDiagram(m, matching)
 
     def test_region_counts(self):
         nested = DiskChordDiagram(2, ((0, 3), (1, 2)))

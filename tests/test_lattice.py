@@ -4,7 +4,13 @@ from math import gcd
 
 import pytest
 
-from helpers import _step, edge_completions, neg_cf_value, stepwise_monodromy
+from helpers import (
+    _step,
+    edge_completions,
+    farey_triangles_to_depth,
+    neg_cf_value,
+    stepwise_monodromy,
+)
 from legknot.errors import DegenerateEdge, InvalidFraction, InvalidSlope, NotAnEdge
 from legknot.lattice import (
     INF,
@@ -58,6 +64,22 @@ class TestReduceAndRender:
                     continue
                 s = reduce_slope(num, den)
                 assert parse_slope(str(s)) == s
+
+
+class TestOrder:
+    def test_order_matches_fractions_with_inf_last(self):
+        finite = {s for tri in farey_triangles_to_depth(4) for s in tri if not s.is_inf}
+        slopes = [*finite, *(reduce_slope(-s.num, s.den) for s in finite), ZERO, INF]
+        assert len(slopes) > 30
+
+        def key(s):
+            return (1, 0) if s.is_inf else (0, Fraction(s.num, s.den))
+
+        for a in slopes:
+            for b in slopes:
+                ka, kb = key(a), key(b)
+                assert (a < b, a <= b, a > b, a >= b, a == b) == (
+                    ka < kb, ka <= kb, ka > kb, ka >= kb, ka == kb), (a, b)
 
 
 class TestFareyGraph:
@@ -220,6 +242,9 @@ class TestParentsAndDepth:
         assert farey_parents(S("3")) == (S("2"), INF)
         assert farey_parents(S("1/3")) == (ZERO, S("1/2"))
         assert farey_parents(ONE) == (ZERO, INF)
+        for base in (ZERO, INF, S("-1/2")):
+            with pytest.raises(InvalidSlope):
+                farey_parents(base)
 
     def test_parents_are_neighbors(self):
         for n in range(1, 12):

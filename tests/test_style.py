@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 MAX_LINE = 99
 # `wc -l src/legknot/*.py` may go down or stay flat, never up; lower this
 # number with any change that shrinks the library
-SRC_LINES = 2021
+SRC_LINES = 1999
 
 
 def test_no_line_over_the_limit():
