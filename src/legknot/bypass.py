@@ -84,7 +84,6 @@ from .lattice import (
     farey_depth,
     farey_parents,
     is_farey_edge,
-    mediant,
     monodromy_matrix,
     parse_slope,
     slope_of_vector,
@@ -107,6 +106,7 @@ __all__ = [
 _TIGHT_TRIANGLE = (ONE, Slope(2, 1), INF)
 _OVERTWISTED_TRIANGLE = (ZERO, ONE, INF)
 _HALF = Slope(1, 2)
+_GATEWAY_END = (_HALF, Slope(2, 3), ONE)  # M(0, 1, inf), where the gateway move lands
 
 
 class ConfigKind(Enum):
@@ -119,14 +119,19 @@ class ConfigKind(Enum):
 class DividingConfig:
     """Slopes with arc multiplicities, plus closed curves for type I.
 
-    Slopes are kept sorted (inf last) with multiplicities carried along,
-    so structurally equal configurations compare equal.
+    The constructor sorts the slopes (inf last) and their multiplicities
+    with them, so structurally equal configurations compare equal.
     """
 
     kind: ConfigKind
     slopes: tuple[Slope, ...]
     mults: tuple[int, ...]
     closed: int = 0
+
+    def __post_init__(self):  # frozen, so the sorted fields are set through object
+        order = sorted(range(len(self.slopes)), key=self.slopes.__getitem__)
+        object.__setattr__(self, "slopes", tuple(self.slopes[i] for i in order))
+        object.__setattr__(self, "mults", tuple(self.mults[i] for i in order))
 
     def arcs(self) -> int:
         return sum(self.mults)
@@ -136,16 +141,6 @@ class DividingConfig:
             return "I:%sx%d+%dc" % (self.slopes[0], self.mults[0], self.closed)
         body = ",".join("%sx%d" % (s, m) for s, m in zip(self.slopes, self.mults))
         return "%s:%s" % (self.kind.value, body)
-
-
-def _sorted_config(kind, slopes, mults, closed=0) -> DividingConfig:
-    order = sorted(range(len(slopes)), key=slopes.__getitem__)
-    return DividingConfig(
-        kind,
-        tuple(slopes[i] for i in order),
-        tuple(mults[i] for i in order),
-        closed,
-    )
 
 
 def type_i(slope: Slope, arcs: int, closed: int = 1) -> DividingConfig:
@@ -175,7 +170,7 @@ def type_ii(slopes, mults) -> DividingConfig:
         )
     if any(m < 2 or m % 2 != 0 for m in mults):
         raise ParityError("type II multiplicities are positive and even")
-    return _sorted_config(ConfigKind.II, tuple(slopes), tuple(mults))
+    return DividingConfig(ConfigKind.II, slopes, mults)
 
 
 def type_iii(slopes, mults) -> DividingConfig:
@@ -194,7 +189,7 @@ def type_iii(slopes, mults) -> DividingConfig:
         raise ParityError("multiplicities are positive")
     if len({m % 2 for m in mults}) != 1:
         raise ParityError("type III multiplicities must share parity")
-    return _sorted_config(ConfigKind.III, tuple(slopes), tuple(mults))
+    return DividingConfig(ConfigKind.III, slopes, mults)
 
 
 def _count(text: str, what: str) -> int:
@@ -239,7 +234,7 @@ def monodromy_config(c: DividingConfig, k: int) -> DividingConfig:
         return c
     mat = monodromy_matrix(k)
     slopes = tuple(slope_of_vector(apply_matrix(mat, s.vector())) for s in c.slopes)
-    return _sorted_config(c.kind, slopes, c.mults, c.closed)
+    return DividingConfig(c.kind, slopes, c.mults, c.closed)
 
 
 # --- move bookkeeping ----------------------------------------------------
@@ -329,7 +324,7 @@ def _first_move(rep):
     if low >= ONE or high <= _HALF:  # above or below the fixed slope
         return _flip(rep)
     # straddling, so rep is the gateway {0, 1/2, 1}: replace the minimum
-    return MoveTag.CASE_THREE_B, (rep[1], mediant(rep[1], high), high)
+    return MoveTag.CASE_THREE_B, _GATEWAY_END
 
 
 class OutcomeKind(Enum):
@@ -343,7 +338,7 @@ class OutcomeKind(Enum):
 _ENDS = {
     _TIGHT_TRIANGLE: OutcomeKind.STANDARD_TIGHT,
     _OVERTWISTED_TRIANGLE: OutcomeKind.OVERTWISTED,
-    (_HALF, Slope(2, 3), ONE): OutcomeKind.OVERTWISTED,
+    _GATEWAY_END: OutcomeKind.OVERTWISTED,
 }
 
 

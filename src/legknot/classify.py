@@ -221,8 +221,7 @@ class LegendrianClass:
 
 
 def decide_isotopy(a: LegendrianClass, b: LegendrianClass) -> Verdict:
-    same = a.knot == b.knot and a.tb == b.tb and a.rot == b.rot
-    return Verdict.ISOTOPIC if same else Verdict.DISTINCT
+    return Verdict.ISOTOPIC if a == b else Verdict.DISTINCT
 
 
 def stabilize_class(c: LegendrianClass, sign: Sign) -> LegendrianClass:

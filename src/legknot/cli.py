@@ -8,11 +8,11 @@ subparser names a handler, which makes every refusal first (MountainRange
 constructor; peak count of ``classify``, after its tb/rot check, and of
 ``valleys``; term count of ``farey-cf``; move count and step limit of
 ``bypass-normalize``), then returns its exit code and text chunks: one per
-tb row for ``range`` and ``valleys``, else one.  ``main`` writes them as
-they come, so exits 1 and 3 leave stdout empty; an error mid-stream leaves
-the partial stdout, one ``error:`` line and exit 1 (3 for NonTermination);
-and a reader that closes stdout early ends the run quietly, with the
-handler's exit code.
+tb row for ``range`` and ``valleys``, one per line for ``bypass-normalize``,
+else one.  ``main`` writes them as they come, so exits 1 and 3 leave stdout
+empty; an error mid-stream leaves the partial stdout, one ``error:`` line
+and exit 1 (3 for NonTermination); and a reader that closes stdout early
+ends the run quietly, with the handler's exit code.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ def _farey_cf(args):
 
 def _bypass_normalize(args):
     outcome = bypass.normalize(bypass.make_config(args.config), args.step_limit)
-    lines = ["outcome=%s" % outcome.kind.value, "steps=%d" % outcome.steps, *outcome.trace]
-    return 0, ["".join(line + "\n" for line in lines)]
+    head = "outcome=%s" % outcome.kind.value, "steps=%d" % outcome.steps
+    return 0, (line + "\n" for lines in (head, outcome.trace) for line in lines)
 
 
 def _bounds(args):

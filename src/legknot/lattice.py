@@ -105,22 +105,17 @@ class Slope:
         return "%d/%d" % (self.num, self.den)
 
     # Total order with inf = 1/0 largest: no denominator is negative.
-    def _cmp(self, other: "Slope") -> int:
-        lhs = self.num * other.den
-        rhs = other.num * self.den
-        return (lhs > rhs) - (lhs < rhs)
-
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return self.num * other.den < other.num * self.den
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return self.num * other.den <= other.num * self.den
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return self.num * other.den > other.num * self.den
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self.num * other.den >= other.num * self.den
 
 
 INF = Slope(1, 0)

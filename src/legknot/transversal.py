@@ -69,8 +69,7 @@ class TransversalClass:
 
 
 def decide_transversal(a: TransversalClass, b: TransversalClass) -> Verdict:
-    same = a.knot == b.knot and a.sl == b.sl
-    return Verdict.ISOTOPIC if same else Verdict.DISTINCT
+    return Verdict.ISOTOPIC if a == b else Verdict.DISTINCT
 
 
 def parse_cables(text: str) -> list[tuple[int, int]]:

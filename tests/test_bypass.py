@@ -103,6 +103,11 @@ class TestConstruction:
         assert str(make_config("I:infx5+1c")) == "I:infx5+1c"
         assert str(make_config(TIGHT)) == "III:1x1,2x1,infx1"
 
+    def test_direct_construction_is_sorted(self):
+        c = bypass.DividingConfig(ConfigKind.III, (INF, ONE, lattice.Slope(2, 1)), (3, 1, 1))
+        assert c == make_config("III:1x1,2x1,infx3")
+        assert str(c) == "III:1x1,2x1,infx3"
+
 
 class TestMonodromyAction:
     def test_quoted_orbit_values(self):

@@ -309,6 +309,19 @@ class TestStreaming:
             assert chunk.endswith("\n")
             assert {line.split("\t")[0] for line in chunk.splitlines()} == {str(-21 - d)}
 
+    def test_normalize_writes_one_line_at_a_time(self, monkeypatch):
+        out = _Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["bypass-normalize", "III:1/4,2/7,1/3"]) == 0
+        assert out.writes == [
+            "outcome=overtwisted\n",
+            "steps=4\n",
+            "FirstKind 1/4,2/7,1/3->0,1/4,1/3\n",
+            "SecondKind 0,1/4,1/3->0,1/3,1/2\n",
+            "SecondKind 0,1/3,1/2->0,1/2,1\n",
+            "CaseThreeB 0,1/2,1->1/2,2/3,1\n",
+        ]
+
     @pytest.mark.parametrize("error, code", [(LegknotError, 1), (NonTermination, 3)])
     @pytest.mark.parametrize("fmt", ["tsv", "svg"])
     def test_error_mid_stream_keeps_what_was_written(self, capsys, monkeypatch, error, code, fmt):
@@ -376,6 +389,14 @@ class TestProcess:
         code, kib = _peak_rss("valleys", "--knot", "torus:-1000001,2")
         assert code == 0
         assert kib < 150 * 1024, "peak RSS %d KiB" % kib
+
+    @pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "wait4"),
+                        reason="reads ru_maxrss from os.wait4 in KiB, as Linux reports it")
+    def test_normalize_trace_memory_stays_small(self):
+        # 200,000 moves; with the trace joined into one string it peaked at 71 MB
+        code, kib = _peak_rss("bypass-normalize", "III:0,1/200001,1/200000")
+        assert code == 0
+        assert kib < 55 * 1024, "peak RSS %d KiB" % kib
 
 
 class TestFareyCommands:
