@@ -13,11 +13,11 @@ data implemented here:
   negative torus  tb = pq,         rotation +-(|p| - q - 2qk), 0 <= k < floor(|p|/q)
   figure eight    tb = -3,         rotation 0
 
-So every peak set is one progression and its negatives, +-(top - i*step)
-for 0 <= i < count, with (top, count, step) = (|p| - q, floor(|p|/q), 2q)
-for negative torus knots and (0, 1, 2) otherwise; every peak has the
+So every peak set is one progression and its negatives, +-(top - 2ih)
+for 0 <= i < count, with (top, count, h) = (|p| - q, floor(|p|/q), q)
+for negative torus knots and (0, 1, 1) otherwise; every peak has the
 parity of top.  Point queries (realizability, the peak test, adjacency,
-maximal self-linking) are O(1) arithmetic on (top, count, step).
+maximal self-linking) are O(1) arithmetic on (top, count, h).
 
 For a negative torus knot write |p| = mq + e with 0 < e < q.  The negated
 progression starts at -top and the other 2e above it, so the two
@@ -28,6 +28,10 @@ less than 2q.  Cones 2g apart first meet at depth g, halfway between, so
 the valleys are tb = max_tb - e at rotations -top + e + 2qi (0 <= i < m)
 and tb = max_tb - (q - e) at -top + q + e + 2qi (0 <= i < m - 1): two
 progressions, or one of step q when e = q - e (q = 2).
+
+The peaks are -top + 2i for i = 0 or top (mod h), and a cone widens by one
+per depth: at depth d, -top - d + 2i (0 <= i <= top + d) is realizable iff
+i mod h lies in [0, d] or [top, top + d] (the residue rule).
 
 The enumerations (peak_rotations, the valley rows, MountainRange) count
 their output exactly before building it and raise Unsupported past MAX_ROWS.
@@ -149,10 +153,10 @@ def max_tb(k: KnotType) -> int:
 
 
 def _progression(k: KnotType) -> tuple[int, int, int]:
-    """(top, count, step): the peak rotations are +-(top - i*step), 0 <= i < count."""
+    """(top, count, h): the peak rotations are +-(top - 2ih), 0 <= i < count."""
     if k.kind != "torus" or k.p > 0:
-        return 0, 1, 2
-    return -k.p - k.q, -k.p // k.q, 2 * k.q
+        return 0, 1, 1
+    return -k.p - k.q, -k.p // k.q, k.q
 
 
 def _check_rows(k: KnotType, rows: int) -> None:
@@ -162,11 +166,11 @@ def _check_rows(k: KnotType, rows: int) -> None:
 
 def _sorted_peak_rotations(k: KnotType) -> list[int]:
     """The peak rotations ascending: the two progressions interleaved."""
-    top, count, step = _progression(k)
+    top, count, h = _progression(k)
     _check_rows(k, 2 * count)
     rots = [0] * (2 * count)
-    rots[::2] = range(-top, count * step - top, step)
-    rots[1::2] = range(top - (count - 1) * step, top + 1, step)
+    rots[::2] = range(-top, 2 * count * h - top, 2 * h)
+    rots[1::2] = range(top - 2 * (count - 1) * h, top + 1, 2 * h)
     return rots if top else [0]
 
 
@@ -188,16 +192,11 @@ def peaks(k: KnotType) -> tuple[Peak, ...]:
 
 
 def realizable(k: KnotType, tb: int, rot: int) -> bool:
-    """True iff (tb, rot) lies in some peak's stabilization cone."""
-    depth = max_tb(k) - tb
-    top, count, step = _progression(k)
-    if depth < 0 or (rot - top - depth) % 2:
-        return False
-    for r in (rot, -rot):  # -rot against the negated progression
-        i = min(max((top - r + step // 2) // step, 0), count - 1)  # the nearest member
-        if abs(r - top + i * step) <= depth:
-            return True
-    return False
+    """True iff (tb, rot) lies in some peak's stabilization cone: the residue rule."""
+    d = max_tb(k) - tb
+    top, _, h = _progression(k)
+    i, odd = divmod(rot + top + d, 2)  # rot = -top - d + 2i
+    return d >= 0 and not odd and 0 <= i <= top + d and min(i % h, (i - top) % h) <= d
 
 
 @dataclass(frozen=True)
@@ -243,15 +242,15 @@ class MountainRange:
         _check_rows(self.knot, _range_rows(self.knot, self.depth))
 
     def rows(self):
-        """(tb, rots) for each depth from the top down, rots ascending."""
-        top = max_tb(self.knot)
-        peak_rots = _sorted_peak_rotations(self.knot)
+        """(tb, rots) for each depth from the top down, rots ascending: the residue rule."""
+        t, (top, _, h) = max_tb(self.knot), _progression(self.knot)
         for d in range(self.depth + 1):
-            rots, lo = [], peak_rots[0] - d  # lo: the least rotation at depth d not yet listed
-            for r in peak_rots:
-                rots += range(max(r - d, lo), r + d + 1, 2)
-                lo = r + d + 2
-            yield top - d, rots
+            full = range(-top - d, top + d + 1, 2)  # -top - d + 2i for 0 <= i <= top + d
+            classes = sorted({c % h for s in (0, top) for c in range(s, s + min(d + 1, h))})
+            rots = [0] * sum(len(full[c::h]) for c in classes)
+            for j, c in enumerate(classes):
+                rots[j::len(classes)] = full[c::h]
+            yield t - d, rots
 
     @cached_property
     def pairs(self) -> frozenset[tuple[int, int]]:
@@ -259,19 +258,16 @@ class MountainRange:
 
 
 def _range_rows(k: KnotType, depth: int) -> int:
-    """len(mountain_range(k, depth).pairs) in O(1).  At depth d, a peak 2g
-    above its lower neighbour adds min(d + 1, g) rotations to that cone."""
+    """len(mountain_range(k, depth).pairs) in O(1).  At depth d, a peak 2g above its lower
+    neighbour adds min(d + 1, g) rotations; count peaks have g = top % h, the rest h - g."""
     n = depth + 1
 
     def cone(g: int) -> int:  # sum over d = 0..depth of min(d + 1, g)
         g = min(g, n)
         return g * (2 * n - g + 1) // 2
 
-    rows = cone(n)  # the lowest peak's whole cone
-    if k.kind == "torus" and k.p < 0:
-        m, e = divmod(-k.p, k.q)
-        rows += m * cone(e) + (m - 1) * cone(k.q - e)
-    return rows
+    top, count, h = _progression(k)
+    return cone(n) + count * cone(top % h) + (count - 1) * cone(h - top % h)
 
 
 def mountain_range(k: KnotType, depth: int) -> MountainRange:
@@ -280,14 +276,14 @@ def mountain_range(k: KnotType, depth: int) -> MountainRange:
 
 def _valley_rows(k: KnotType) -> list[tuple[int, range]]:
     """The valleys as (tb, rots) rows, tb descending and rots ascending."""
-    top, count, step = _progression(k)
+    top, count, q = _progression(k)
     _check_rows(k, 2 * count)
     if not top:  # one peak: not a negative torus knot
         return []
-    t, q, e = max_tb(k), k.q, -k.p % k.q
+    t, e = max_tb(k), top % q
     if 2 * e == q:  # the two progressions share their tb and merge
         return [(t - e, range(e - top, top, q))]
-    rows = [(t - e, range(e - top, top, step)), (t - q + e, range(q + e - top, top, step))]
+    rows = [(t - e, range(e - top, top, 2 * q)), (t - q + e, range(q + e - top, top, 2 * q))]
     return rows if 2 * e < q else rows[::-1]
 
 

@@ -8,7 +8,8 @@ subparser names a handler, which makes every refusal first (MountainRange
 constructor; peak count of ``classify``, after its tb/rot check, and of
 ``valleys``; term count of ``farey-cf``; move count and step limit of
 ``bypass-normalize``), then returns its exit code and text chunks: one per
-tb row for ``range`` and ``valleys``, one per line for ``bypass-normalize``,
+tb row for ``range`` and ``valleys`` (per 4,096 values of a longer row, as
+in the ``classify`` peak line), one per line for ``bypass-normalize``,
 else one.  ``main`` writes them as they come, so exits 1 and 3 leave stdout
 empty; an error mid-stream leaves the partial stdout, one ``error:`` line
 and exit 1 (3 for NonTermination); and a reader that closes stdout early
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 
@@ -26,6 +28,7 @@ from . import bypass, classify, convex, front, lattice, transversal
 from .errors import LegknotError, NonTermination, Unsupported, decimal
 
 __all__ = ["main", "render_range"]
+_CHUNK = 2**12  # the most values that one chunk formats
 
 
 def render_range(r: classify.MountainRange, format: str = "tsv") -> str:
@@ -38,7 +41,7 @@ def _range_chunks(r: classify.MountainRange, format: str):
     if format not in ("tsv", "svg"):
         raise LegknotError("unknown range format %r" % format)
     if format == "tsv":
-        yield from map(_tsv_row, r.rows())
+        yield from _int_chunks(("%d\t%%d\n" % tb, rots) for tb, rots in r.rows())
         return
     step, pad = 24, 30
     top = classify._progression(r.knot)[0]
@@ -69,10 +72,12 @@ def _range_chunks(r: classify.MountainRange, format: str):
     yield "</svg>\n"
 
 
-def _tsv_row(row) -> str:
-    """One "tb\trot" line per rotation of a (tb, rots) row, formatted in one call."""
-    tb, rots = row
-    return ("%d\t%%d\n" % tb * len(rots)) % tuple(rots)
+def _int_chunks(rows):
+    """fmt % v for each v of each (fmt, values) row, in chunks of at most _CHUNK values."""
+    for fmt, values in rows:
+        for i in range(0, len(values), _CHUNK):
+            part = values[i:i + _CHUNK]
+            yield fmt * len(part) % tuple(part)
 
 
 def _read_front(path: str) -> front.FrontDiagram:
@@ -97,12 +102,11 @@ def _classify(args):
     knot = classify.parse_knot(args.knot)
     if args.tb is not None and args.rot is None:
         raise LegknotError("classify needs both tb and rot (or neither)")
-    text = "knot=%s\nmax_tb=%d\npeak_rotations=%s\n" % (
-        knot, classify.max_tb(knot), ",".join(map(str, classify._sorted_peak_rotations(knot))))
-    if args.tb is None:
-        return 0, [text]
-    ok = classify.realizable(knot, args.tb, args.rot)
-    return (0 if ok else 2), [text + "realizable=%s\n" % ("true" if ok else "false")]
+    peaks = _int_chunks([(",%d", classify._sorted_peak_rotations(knot))])  # never empty
+    head = "knot=%s\nmax_tb=%d\npeak_rotations=%s" % (knot, classify.max_tb(knot), next(peaks)[1:])
+    ok = args.tb is None or classify.realizable(knot, args.tb, args.rot)
+    tail = "" if args.tb is None else "realizable=%s\n" % ("true" if ok else "false")
+    return (0 if ok else 2), itertools.chain([head], peaks, ["\n" + tail])
 
 
 def _isotopic(args):
@@ -203,9 +207,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "torus knot (valley lemma via |p| = mq + e)",
     )
     p.add_argument("--knot", required=True)
-    p.set_defaults(run=lambda a: (
-        0, map(_tsv_row, classify._valley_rows(classify.parse_knot(a.knot)))
-    ))
+    p.set_defaults(run=lambda a: (0, _int_chunks(
+        ("%d\t%%d\n" % tb, rots) for tb, rots in classify._valley_rows(classify.parse_knot(a.knot))
+    )))
 
     p = sub.add_parser(
         "farey-cf",

@@ -15,9 +15,10 @@ from helpers import (
     RIGHT_TREFOIL_PEAK_WORD,
     STABILIZED_UNKNOT_WORD,
     cone_scan_range,
+    listed_peaks,
 )
 from legknot import classify, convex, lattice
-from legknot.classify import mountain_range, torus, unknot
+from legknot.classify import max_tb, mountain_range, torus, unknot
 from legknot.cli import _build_parser, main, render_range
 from legknot.errors import LegknotError, NonTermination
 
@@ -297,7 +298,8 @@ class _Recorder(io.StringIO):
 
 
 class TestStreaming:
-    """main writes a handler's chunks as they come: for range, one per tb row."""
+    """main writes a handler's chunks as they come: for range and valleys, one
+    per tb row or per 4,096 lines of a longer row."""
 
     @pytest.mark.parametrize("depth", [0, 1, 5])
     def test_range_writes_whole_rows(self, monkeypatch, depth):
@@ -308,6 +310,39 @@ class TestStreaming:
         for d, chunk in enumerate(out.writes):  # every class of the row d below the top
             assert chunk.endswith("\n")
             assert {line.split("\t")[0] for line in chunk.splitlines()} == {str(-21 - d)}
+
+    # 4,999 and 9,999 valleys in one row: a chunk per 4,096 lines of a longer row
+    @pytest.mark.parametrize("knot, lines", [("torus:-5001,2", [4096, 903]),
+                                             ("torus:-10001,2", [4096, 4096, 1807])])
+    def test_long_valley_row_in_chunks(self, monkeypatch, knot, lines):
+        out = _Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["valleys", "--knot", knot]) == 0
+        assert [chunk.count("\n") for chunk in out.writes] == lines
+        assert all(chunk.endswith("\n") for chunk in out.writes)
+        k = classify.parse_knot(knot)  # q = 2: every two adjacent peaks meet one step down
+        rots = [p.rot for p in reversed(listed_peaks(k))]
+        assert out.getvalue() == "".join("%d\t%d\n" % (max_tb(k) - 1, r + 1) for r in rots[:-1])
+
+    def test_long_range_rows_in_chunks(self, monkeypatch):
+        out = _Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["range", "--knot", "torus:-10001,2", "--depth", "1"]) == 0
+        assert [chunk.count("\n") for chunk in out.writes] == [4096, 4096, 1808, 4096, 4096, 1809]
+        for i, chunk in enumerate(out.writes):  # each chunk ends a line and holds one tb
+            assert chunk.endswith("\n")
+            assert {line.split("\t")[0] for line in chunk.splitlines()} == {str(-20002 - i // 3)}
+        expected = sorted(cone_scan_range(torus(-10001, 2), 1), key=lambda p: (-p[0], p[1]))
+        assert out.getvalue() == "".join("%d\t%d\n" % p for p in expected)
+
+    def test_peak_line_in_chunks(self, monkeypatch):
+        out = _Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["classify", "torus:-100001,3"]) == 0
+        # the head with the first 4,096 peaks, 16 more chunks of them, then the newline
+        assert len(out.writes) == 18 and out.writes[-1] == "\n"
+        assert out.getvalue() == "knot=torus:-100001,3\nmax_tb=-300003\npeak_rotations=%s\n" % (
+            ",".join(str(p.rot) for p in reversed(listed_peaks(torus(-100001, 3)))))
 
     def test_normalize_writes_one_line_at_a_time(self, monkeypatch):
         out = _Recorder()
@@ -385,10 +420,19 @@ class TestProcess:
     @pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "wait4"),
                         reason="reads ru_maxrss from os.wait4 in KiB, as Linux reports it")
     def test_valleys_memory_stays_small(self):
-        # 999,999 valleys in one row; built as Peak pairs they peaked at 383 MB
+        # 999,999 valleys in one row; built as Peak pairs they peaked at 383 MB,
+        # and formatted as one string at 81 MB
         code, kib = _peak_rss("valleys", "--knot", "torus:-1000001,2")
         assert code == 0
-        assert kib < 150 * 1024, "peak RSS %d KiB" % kib
+        assert kib < 40 * 1024, "peak RSS %d KiB" % kib
+
+    @pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "wait4"),
+                        reason="reads ru_maxrss from os.wait4 in KiB, as Linux reports it")
+    def test_classify_memory_stays_small(self):
+        # 1,000,000 peaks; joined from one string per peak they peaked at 127 MB
+        code, kib = _peak_rss("classify", "torus:-1000001,2")
+        assert code == 0
+        assert kib < 80 * 1024, "peak RSS %d KiB" % kib
 
     @pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "wait4"),
                         reason="reads ru_maxrss from os.wait4 in KiB, as Linux reports it")

@@ -9,7 +9,9 @@ classes reached by replaying stabilizations from a peak for |p| up to
 checked against the same cones.
 """
 
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,28 @@ def test_range_rows_count_the_cones(k):
         pairs = cone_scan_range(k, depth)
         assert mountain_range(k, depth).pairs == pairs
         assert classify._range_rows(k, depth) == len(pairs), depth
+
+
+@pytest.mark.parametrize("q", range(2, 14))
+def test_rows_follow_the_cone_scan_past_the_grid(q):
+    """Every negative torus knot with |p| <= 150, at depths 0..2q + 1: rows
+    whose cones are all apart, joined across one gap size or across both,
+    and the second residue interval wrapping past q.  Each row, its count
+    and `realizable` across the band are compared with the cones of the
+    listed peaks; the top row is the listed peaks."""
+    for a in (a for a in range(q + 1, 151) if gcd(a, q) == 1):
+        k, depth = torus(-a, q), 2 * q + 1
+        top, listed = max_tb(k), listed_peaks(k)
+        scan = sorted(cone_scan_range(k, depth), key=lambda p: (-p[0], p[1]))
+        expected = [(tb, [rot for _, rot in row]) for tb, row in groupby(scan, itemgetter(0))]
+        assert list(mountain_range(k, depth).rows()) == expected, a
+        count = 0
+        for d, (tb, rots) in enumerate(expected):
+            count += len(rots)
+            assert classify._range_rows(k, d) == count, (a, d)
+            band = range(-a - d - 2, a + d + 3)
+            assert [rot for rot in band if realizable(k, tb, rot)] == rots, (a, d)
+        assert next(mountain_range(k, 0).rows()) == (top, [p.rot for p in reversed(listed)])
 
 
 def test_range_cap_counts_rows_exactly():
