@@ -10,7 +10,7 @@ merge at "valleys".
 
 from pathlib import Path
 
-from legknot import mountain_range, parse_knot, peak_rotations, max_tb
+from legknot import mountain_range, parse_knot, peak_rotations, max_tb, realizable
 from legknot.classify import common_destabilization, peaks
 from legknot.cli import render_range
 
@@ -19,13 +19,13 @@ def ascii_range(knot_text, depth):
     knot = parse_knot(knot_text)
     r = mountain_range(knot, depth)
     top = max_tb(knot)
-    rots = sorted({rot for _, rot in r.pairs})
+    rots = sorted({rot for _, row in r.rows() for rot in row})
     print("%s   (max tb = %d, peak rotations %s)"
-          % (knot, top, sorted(peak_rotations(knot))))
+          % (knot, top, peak_rotations(knot)))
     header = "tb\\rot " + "".join("%4d" % rot for rot in rots)
     print(header)
     for tb in range(top, top - depth - 1, -1):
-        row = "".join("   *" if (tb, rot) in r.pairs else "    " for rot in rots)
+        row = "".join("   *" if realizable(knot, tb, rot) else "    " for rot in rots)
         print("%6d %s" % (tb, row))
     print()
 

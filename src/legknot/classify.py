@@ -33,7 +33,7 @@ The peaks are -top + 2i for i = 0 or top (mod h), and a cone widens by one
 per depth: at depth d, -top - d + 2i (0 <= i <= top + d) is realizable iff
 i mod h lies in [0, d] or [top, top + d] (the residue rule).
 
-The enumerations (peak_rotations, the valley rows, MountainRange) count
+The enumerations (peak_rotations, valley_rows, MountainRange) count
 their output exactly before building it and raise Unsupported past MAX_ROWS.
 """
 
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from math import gcd
 
 from .errors import InvalidKnot, NotAdjacent, Unrealizable, Unsupported, decimal
@@ -50,7 +49,7 @@ __all__ = [
     "Sign", "Verdict", "KnotType", "LegendrianClass", "Peak", "MountainRange", "BoundsReport",
     "unknot", "torus", "figure_eight", "parse_knot", "euler_char", "max_tb", "peak_rotations",
     "peaks", "realizable", "decide_isotopy", "stabilize_class", "mountain_range",
-    "common_destabilization", "bounds_report",
+    "common_destabilization", "bounds_report", "peak_progression", "valley_rows",
 ]
 
 MAX_ROWS = 10**6  # the most rows an enumeration builds
@@ -152,7 +151,7 @@ def max_tb(k: KnotType) -> int:
     return k.p * k.q
 
 
-def _progression(k: KnotType) -> tuple[int, int, int]:
+def peak_progression(k: KnotType) -> tuple[int, int, int]:
     """(top, count, h): the peak rotations are +-(top - 2ih), 0 <= i < count."""
     if k.kind != "torus" or k.p > 0:
         return 0, 1, 1
@@ -164,19 +163,14 @@ def _check_rows(k: KnotType, rows: int) -> None:
         raise Unsupported("%s: up to %d rows, more than the cap of %d" % (k, rows, MAX_ROWS))
 
 
-def _sorted_peak_rotations(k: KnotType) -> list[int]:
-    """The peak rotations ascending: the two progressions interleaved."""
-    top, count, h = _progression(k)
+def peak_rotations(k: KnotType) -> list[int]:
+    """Rotation numbers realized at maximal tb, ascending: the two progressions interleaved."""
+    top, count, h = peak_progression(k)
     _check_rows(k, 2 * count)
     rots = [0] * (2 * count)
     rots[::2] = range(-top, 2 * count * h - top, 2 * h)
     rots[1::2] = range(top - 2 * (count - 1) * h, top + 1, 2 * h)
     return rots if top else [0]
-
-
-def peak_rotations(k: KnotType) -> set[int]:
-    """Rotation numbers realized at maximal tb."""
-    return set(_sorted_peak_rotations(k))
 
 
 @dataclass(frozen=True)
@@ -188,13 +182,13 @@ class Peak:
 def peaks(k: KnotType) -> tuple[Peak, ...]:
     """All maximal-tb classes, rotation descending."""
     t = max_tb(k)
-    return tuple(Peak(t, r) for r in reversed(_sorted_peak_rotations(k)))
+    return tuple(Peak(t, r) for r in reversed(peak_rotations(k)))
 
 
 def realizable(k: KnotType, tb: int, rot: int) -> bool:
     """True iff (tb, rot) lies in some peak's stabilization cone: the residue rule."""
     d = max_tb(k) - tb
-    top, _, h = _progression(k)
+    top, _, h = peak_progression(k)
     i, odd = divmod(rot + top + d, 2)  # rot = -top - d + 2i
     return d >= 0 and not odd and 0 <= i <= top + d and min(i % h, (i - top) % h) <= d
 
@@ -243,7 +237,7 @@ class MountainRange:
 
     def rows(self):
         """(tb, rots) for each depth from the top down, rots ascending: the residue rule."""
-        t, (top, _, h) = max_tb(self.knot), _progression(self.knot)
+        t, (top, _, h) = max_tb(self.knot), peak_progression(self.knot)
         for d in range(self.depth + 1):
             full = range(-top - d, top + d + 1, 2)  # -top - d + 2i for 0 <= i <= top + d
             classes = sorted({c % h for s in (0, top) for c in range(s, s + min(d + 1, h))})
@@ -252,13 +246,9 @@ class MountainRange:
                 rots[j::len(classes)] = full[c::h]
             yield t - d, rots
 
-    @cached_property
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((tb, rot) for tb, rots in self.rows() for rot in rots)
-
 
 def _range_rows(k: KnotType, depth: int) -> int:
-    """len(mountain_range(k, depth).pairs) in O(1).  At depth d, a peak 2g above its lower
+    """The pair count of mountain_range(k, depth) in O(1).  At depth d, a peak 2g above its lower
     neighbour adds min(d + 1, g) rotations; count peaks have g = top % h, the rest h - g."""
     n = depth + 1
 
@@ -266,7 +256,7 @@ def _range_rows(k: KnotType, depth: int) -> int:
         g = min(g, n)
         return g * (2 * n - g + 1) // 2
 
-    top, count, h = _progression(k)
+    top, count, h = peak_progression(k)
     return cone(n) + count * cone(top % h) + (count - 1) * cone(h - top % h)
 
 
@@ -274,9 +264,9 @@ def mountain_range(k: KnotType, depth: int) -> MountainRange:
     return MountainRange(k, depth)
 
 
-def _valley_rows(k: KnotType) -> list[tuple[int, range]]:
+def valley_rows(k: KnotType) -> list[tuple[int, range]]:
     """The valleys as (tb, rots) rows, tb descending and rots ascending."""
-    top, count, q = _progression(k)
+    top, count, q = peak_progression(k)
     _check_rows(k, 2 * count)
     if not top:  # one peak: not a negative torus knot
         return []

@@ -44,7 +44,7 @@ def _range_chunks(r: classify.MountainRange, format: str):
         yield from _int_chunks(("%d\t%%d\n" % tb, rots) for tb, rots in r.rows())
         return
     step, pad = 24, 30
-    top = classify._progression(r.knot)[0]
+    top = classify.peak_progression(r.knot)[0]
     rmin, rmax = -top - r.depth, top + r.depth  # the bottom row's ends
     ys = range(pad, pad + r.depth * step + 1, step)  # each row's y, top down
     yield (
@@ -102,7 +102,7 @@ def _classify(args):
     knot = classify.parse_knot(args.knot)
     if args.tb is not None and args.rot is None:
         raise LegknotError("classify needs both tb and rot (or neither)")
-    peaks = _int_chunks([(",%d", classify._sorted_peak_rotations(knot))])  # never empty
+    peaks = _int_chunks([(",%d", classify.peak_rotations(knot))])  # never empty
     head = "knot=%s\nmax_tb=%d\npeak_rotations=%s" % (knot, classify.max_tb(knot), next(peaks)[1:])
     ok = args.tb is None or classify.realizable(knot, args.tb, args.rot)
     tail = "" if args.tb is None else "realizable=%s\n" % ("true" if ok else "false")
@@ -208,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--knot", required=True)
     p.set_defaults(run=lambda a: (0, _int_chunks(
-        ("%d\t%%d\n" % tb, rots) for tb, rots in classify._valley_rows(classify.parse_knot(a.knot))
+        ("%d\t%%d\n" % tb, rots) for tb, rots in classify.valley_rows(classify.parse_knot(a.knot))
     )))
 
     p = sub.add_parser(

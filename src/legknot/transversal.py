@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .classify import KnotType, LegendrianClass, Sign, Verdict, _progression, max_tb
+from .classify import KnotType, LegendrianClass, Sign, Verdict, max_tb, peak_progression
 from .errors import InvalidCable, Unrealizable, decimal
 
 __all__ = [
@@ -47,7 +47,7 @@ def max_sl(k: KnotType) -> int:
     the largest peak rotation; the closed forms are -1 (unknot), pq - p - q (positive torus),
     pq + |p| - |q| (negative torus), and -3 (figure eight).
     """
-    return max_tb(k) + _progression(k)[0]
+    return max_tb(k) + peak_progression(k)[0]
 
 
 def is_realizable_sl(k: KnotType, sl: int) -> bool:

@@ -22,7 +22,16 @@ from fractions import Fraction
 from math import gcd
 
 from legknot.bypass import ConfigKind, MoveTag
-from legknot.classify import KnotType, Peak, Sign, figure_eight, max_tb, torus, unknot
+from legknot.classify import (
+    KnotType,
+    MountainRange,
+    Peak,
+    Sign,
+    figure_eight,
+    max_tb,
+    torus,
+    unknot,
+)
 from legknot.convex import DiskChordDiagram
 from legknot.front import FrontDiagram, FrontInvariants, parse_front, stabilize_diagram
 from legknot.lattice import (
@@ -180,6 +189,11 @@ def cone_scan_range(k: KnotType, depth: int) -> set[tuple[int, int]]:
         for tb in range(top - depth, top + 1)
         for rot in _cone(peak, tb)
     }
+
+
+def range_pairs(r: MountainRange) -> set[tuple[int, int]]:
+    """Every (tb, rot) that the rows of a mountain range list."""
+    return {(tb, rot) for tb, rots in r.rows() for rot in rots}
 
 
 def cone_scan_max_sl(k: KnotType) -> int:

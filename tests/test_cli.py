@@ -16,6 +16,7 @@ from helpers import (
     STABILIZED_UNKNOT_WORD,
     cone_scan_range,
     listed_peaks,
+    range_pairs,
 )
 from legknot import classify, convex, lattice
 from legknot.classify import max_tb, mountain_range, torus, unknot
@@ -136,7 +137,7 @@ class TestClassifyAndIsotopic:
         assert code == 1 and out == ""
 
     def test_classify_missing_rot_refused_before_the_peaks(self, capsys, monkeypatch):
-        monkeypatch.setattr(classify, "_sorted_peak_rotations",
+        monkeypatch.setattr(classify, "peak_rotations",
                             lambda k: pytest.fail("the peaks were built before the refusal"))
         assert main(["classify", "torus:-1000000001,3", "0"]) == 1
         captured = capsys.readouterr()
@@ -182,14 +183,6 @@ class TestRangeAndValleys:
     def test_peak_line_count(self, capsys):
         code, out = run(capsys, "range", "--knot", "torus:-7,3", "--depth", "0")
         assert code == 0 and len(out.splitlines()) == 4
-
-    def test_range_never_builds_the_pair_set(self, capsys, monkeypatch):
-        monkeypatch.setattr(classify.MountainRange, "pairs",
-                            property(lambda r: pytest.fail("MountainRange.pairs was read")))
-        for fmt in ("tsv", "svg"):
-            code, out = run(capsys, "range", "--knot", "torus:-7,3", "--depth", "3",
-                            "--format", fmt)
-            assert code == 0 and out
 
     def test_valleys(self, capsys):
         code, out = run(capsys, "valleys", "--knot", "torus:-7,3")
@@ -272,7 +265,7 @@ class TestSvg:
         root = ET.fromstring(out)
         assert root.tag.endswith("svg")
         circles = root.findall(".//{http://www.w3.org/2000/svg}circle")
-        expected = len(mountain_range(torus(-7, 3), 2).pairs)
+        expected = len(range_pairs(mountain_range(torus(-7, 3), 2)))
         assert len(circles) == expected
 
     def test_render_range_unknot(self):

@@ -24,6 +24,7 @@ from helpers import (
     cone_scan_realizable,
     cone_scan_valley,
     listed_peaks,
+    range_pairs,
 )
 from legknot import classify, transversal
 from legknot.classify import (
@@ -122,8 +123,7 @@ def test_point_queries_never_enumerate(monkeypatch):
 
     monkeypatch.setattr(classify, "peaks", refuse)
     monkeypatch.setattr(classify, "peak_rotations", refuse)
-    monkeypatch.setattr(classify, "_sorted_peak_rotations", refuse)
-    monkeypatch.setattr(classify, "_valley_rows", refuse)
+    monkeypatch.setattr(classify, "valley_rows", refuse)
     monkeypatch.setattr(transversal, "peaks", refuse, raising=False)
     k = torus(-1000000001, 3)
     top = -3000000003
@@ -172,7 +172,7 @@ def test_cli_valleys_and_peaks_against_the_cone_scan(q, capsys):
 def test_range_rows_count_the_cones(k):
     for depth in range(7):
         pairs = cone_scan_range(k, depth)
-        assert mountain_range(k, depth).pairs == pairs
+        assert range_pairs(mountain_range(k, depth)) == pairs
         assert classify._range_rows(k, depth) == len(pairs), depth
 
 
@@ -196,10 +196,11 @@ def test_rows_follow_the_cone_scan_past_the_grid(q):
             band = range(-a - d - 2, a + d + 3)
             assert [rot for rot in band if realizable(k, tb, rot)] == rots, (a, d)
         assert next(mountain_range(k, 0).rows()) == (top, [p.rot for p in reversed(listed)])
+        assert peak_rotations(k) == sorted(p.rot for p in listed), a
 
 
 def test_range_cap_counts_rows_exactly():
     assert classify._range_rows(unknot(), 1412) == 998_991 <= MAX_ROWS
     assert classify._range_rows(unknot(), 1413) == 1_000_405 > MAX_ROWS
     # the cones of its 66,666 peaks overlap: #peaks * (depth + 1)^2 is 1,066,656
-    assert len(mountain_range(torus(-100001, 3), 3).pairs) == 366_669
+    assert len(range_pairs(mountain_range(torus(-100001, 3), 3))) == 366_669

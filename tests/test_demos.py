@@ -2,9 +2,12 @@
 
 The recorded stdout of each demo is in ``tests/demo_output/<stem>.txt``;
 demo 02 also writes ``negative_torus_range.svg``, recorded there too.
+The ```python examples of README.md run here as doctests.
 """
 
+import doctest
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -36,3 +39,15 @@ def test_demo_runs(demo, tmp_path):
     if demo.stem == "02_mountain_ranges":
         svg = "negative_torus_range.svg"
         assert (tmp_path / svg).read_bytes() == (RECORDED / svg).read_bytes()
+
+
+def test_readme_examples():
+    """Each ```python block of README.md runs as a doctest, closing fence stripped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert blocks
+    runner = doctest.DocTestRunner()
+    for i, block in enumerate(blocks):
+        runner.run(doctest.DocTestParser().get_doctest(block, {}, "README.md[%d]" % i,
+                                                       "README.md", 0))
+    assert runner.summarize(verbose=False).failed == 0
