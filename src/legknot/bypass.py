@@ -230,8 +230,6 @@ def make_config(spec: str) -> DividingConfig:
 
 def monodromy_config(c: DividingConfig, k: int) -> DividingConfig:
     """Apply the k-th monodromy power to every slope; multiplicities persist."""
-    if not k:
-        return c
     mat = monodromy_matrix(k)
     slopes = tuple(slope_of_vector(apply_matrix(mat, s.vector())) for s in c.slopes)
     return DividingConfig(c.kind, slopes, c.mults, c.closed)
@@ -321,7 +319,7 @@ def _first_move(rep):
     low, high = rep[0], rep[-1]
     if len(rep) == 1:
         return MoveTag.EXPAND_FROM_I, _expand(low)
-    if low >= ONE or high <= _HALF:  # above or below the fixed slope
+    if ONE <= low or high <= _HALF:  # above or below the fixed slope
         return _flip(rep)
     # straddling, so rep is the gateway {0, 1/2, 1}: replace the minimum
     return MoveTag.CASE_THREE_B, _GATEWAY_END
@@ -362,7 +360,7 @@ def _move_count(rep) -> int:
     rep to its terminal form; each flip climbs one Farey level."""
     if len(rep) == 1:  # one arc class expands to its own representative first
         return 1 + _move_count(_expand(rep[0]))
-    return max(farey_depth(s) for s in rep) - (rep[0] >= ONE)
+    return max(farey_depth(s) for s in rep) - (ONE <= rep[0])
 
 
 def normalize(c: DividingConfig, step_limit: int | None = None) -> NormalizationOutcome:

@@ -101,12 +101,10 @@ def torus(p: int, q: int) -> KnotType:
     """
     if p == 0 or q == 0:
         raise InvalidKnot("torus knot needs nonzero p and q")
+    if abs(p) < abs(q):
+        p, q = q, p
     if q < 0:
         p, q = -p, -q
-    if abs(p) < q:
-        p, q = q, p
-        if q < 0:
-            p, q = -p, -q
     if gcd(abs(p), q) != 1:
         raise InvalidKnot("(%d, %d) are not coprime" % (p, q))
     if q == 1:

@@ -2,18 +2,20 @@
 
 Subcommands expose one computation each with line-oriented, byte-stable
 output.  Exit codes: 0 success, 1 invalid input, 2 valid query whose
-mathematical answer is negative (predicates only), 3 a step limit below
-the exact move count.  A usage error is invalid input too (exit 1).  Each
-subparser names a handler, which makes every refusal first (MountainRange
-constructor; peak count of ``classify``, after its tb/rot check, and of
-``valleys``; term count of ``farey-cf``; move count and step limit of
-``bypass-normalize``), then returns its exit code and text chunks: one per
-tb row for ``range`` and ``valleys`` (per 4,096 values of a longer row, as
-in the ``classify`` peak line), one per line for ``bypass-normalize``,
-else one.  ``main`` writes them as they come, so exits 1 and 3 leave stdout
-empty; an error mid-stream leaves the partial stdout, one ``error:`` line
-and exit 1 (3 for NonTermination); and a reader that closes stdout early
-ends the run quietly, with the handler's exit code.
+mathematical answer is negative (predicates only), 3 a step limit below the
+exact move count.  ``main`` hands a call that names a subcommand straight to
+that subcommand's parser, as the top-level parser would, and any other call
+to the top level, which prints help or reports a usage error (invalid input
+too, exit 1).  Each subparser names a handler, which makes every refusal
+first (MountainRange constructor; peak count of ``classify``, after its
+tb/rot check, and of ``valleys``; term count of ``farey-cf``; move count and
+step limit of ``bypass-normalize``), then returns its exit code and text
+chunks: one per tb row for ``range`` and ``valleys`` (per 4,096 values of a
+longer row, as in the ``classify`` peak line), one per line for
+``bypass-normalize``, else one.  ``main`` writes them as they come, so exits
+1 and 3 leave stdout empty; an error mid-stream leaves the partial stdout,
+one ``error:`` line and exit 1 (3 for NonTermination); and a reader that
+closes stdout early ends the run quietly, with the handler's exit code.
 """
 
 from __future__ import annotations
@@ -265,12 +267,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("knot")
     p.set_defaults(run=_bounds)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        if argv and argv[0] in parser.commands:  # the subparser that parse_args would call
+            args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
+            if extra:
+                parser.error("unrecognized arguments: %s" % " ".join(extra))
+        else:  # no subcommand named: usage error or help, from the top level
+            args = parser.parse_args(argv)
         code, chunks = args.run(args)
         sys.stdout.writelines(chunks)
         sys.stdout.flush()  # inside the try, so that a closed pipe is caught here too

@@ -104,18 +104,12 @@ class Slope:
             return str(self.num)
         return "%d/%d" % (self.num, self.den)
 
-    # Total order with inf = 1/0 largest: no denominator is negative.
+    # Total order with inf = 1/0 largest (no denominator is negative); a > b reflects to b < a.
     def __lt__(self, other):
         return self.num * other.den < other.num * self.den
 
     def __le__(self, other):
         return self.num * other.den <= other.num * self.den
-
-    def __gt__(self, other):
-        return self.num * other.den > other.num * self.den
-
-    def __ge__(self, other):
-        return self.num * other.den >= other.num * self.den
 
 
 INF = Slope(1, 0)

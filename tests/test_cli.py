@@ -401,6 +401,16 @@ class TestProcess:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (0, b"")
 
+    # main() reads sys.argv itself here, a branch that in-process calls never take
+    @pytest.mark.parametrize("argv, err", [
+        ((), "the following arguments are required: command"),
+        (("classify", "unknot", "-1", "0", "extra"), "unrecognized arguments: extra"),
+    ])
+    def test_usage_error_from_the_command_line(self, argv, err):
+        done = subprocess.run(_legknot(*argv), env=_ENV, capture_output=True, text=True,
+                              timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: legknot: %s\n" % err)
+
     @pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "wait4"),
                         reason="reads ru_maxrss from os.wait4 in KiB, as Linux reports it")
     def test_svg_range_memory_stays_small(self):
@@ -534,18 +544,75 @@ class TestParser:
         assert _build_parser() is _build_parser()
 
     def test_every_subcommand_has_a_handler(self):
-        (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
-        assert len(sub.choices) == 11
-        for name, parser in sub.choices.items():
+        commands = _build_parser().commands  # the map that main dispatches on
+        assert len(commands) == 11
+        for name, parser in commands.items():
             assert callable(parser.get_default("run")), name
 
     def test_usage_errors_exit_one(self, capsys):
         for argv in ([], ["bogus"], ["range", "--knot", "unknot"], ["classify"],
-                     ["range", "--knot", "unknot", "--depth", "2", "--format", "png"]):
+                     ["range", "--knot", "unknot", "--depth", "2", "--format", "png"],
+                     ["classify", "unknot", "1", "2", "3"]):
             assert main(argv) == 1, argv
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error: legknot"), argv
             assert captured.err.count("\n") == 1, argv
+        # the last input's leftovers are reported under the top-level prog, as parse_args does
+        assert captured.err == "error: legknot: unrecognized arguments: 3\n"
+
+    @staticmethod
+    def _parse_then_run(argv):
+        """The reference: the top-level parse of the whole argv, then the handler."""
+        try:
+            args = _build_parser().parse_args(argv)
+            code, chunks = args.run(args)
+            sys.stdout.writelines(chunks)
+            return code
+        except LegknotError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 3 if isinstance(exc, NonTermination) else 1
+
+    @pytest.mark.parametrize("argv", [
+        # one valid call per subcommand
+        ["invariants", "FRONT", "--knot", "torus:3,2"], ["classify", "torus:-7,3", "-21", "-4"],
+        ["isotopic", "unknot", "-2", "1", "unknot", "-2", "-1"],
+        ["range", "--knot", "torus:-5,2", "--depth", "2"], ["valleys", "--knot", "torus:-11,3"],
+        ["farey-cf", "7", "3"], ["farey-count", "7", "3"],
+        ["bypass-normalize", "III:1/4,2/7,1/3", "--step-limit", "2"],
+        ["transversal-max-sl", "torus:-97,5"], ["transversal-iterated", "3,2;5,2"],
+        ["bounds", "torus:-7,3"],
+        # trailing extra arguments
+        ["classify", "unknot", "1", "2", "3"], ["farey-count", "7", "3", "1", "--x"],
+        ["range", "--knot", "unknot", "--depth", "1", "extra", "more"],
+        # missing arguments
+        ["classify"], ["isotopic", "unknot", "-1", "0"], ["range", "--knot", "unknot"],
+        ["range", "--knot", "unknot", "--depth"],
+        # "--" before and after the subcommand
+        ["--", "classify", "unknot"], ["classify", "--", "unknot", "-1", "0"],
+        ["classify", "unknot", "-1", "0", "--"], ["range", "--", "--knot", "unknot"],
+        # help at both levels
+        ["-h"], ["--help"], ["-h", "classify"], ["classify", "-h"], ["range", "--help"],
+        ["classify", "unknot", "-1", "0", "-h"],
+        # abbreviated options and the --opt=value form
+        ["range", "--kn", "torus:-5,2", "--dep", "2"], ["range", "--knot", "unknot", "--d", "1"],
+        ["valleys", "--knot=torus:-11,3"], ["invariants", "FRONT", "--kn=unknot"],
+        # negative-number positionals
+        ["classify", "unknot", "-2", "-1"], ["farey-cf", "-7", "3"], ["classify", "-1"],
+        # an empty argv, unknown commands and an unknown top-level option
+        [], ["bogus"], ["Classify", "unknot"], ["classif", "unknot"], ["-x", "classify"],
+    ])
+    def test_dispatch_matches_the_top_level_parse(self, argv, tmp_path, capsys):
+        front = tmp_path / "trefoil.front"
+        front.write_text("L 1\nL 1\nX 2\nX 2\nX 2\nR 1\nR 1\n")
+        argv = [str(front) if a == "FRONT" else a for a in argv]
+        outcomes = []
+        for call in (main, self._parse_then_run):
+            try:
+                code = call(list(argv))
+            except SystemExit as exc:  # help
+                code = "SystemExit(%r)" % exc.code
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
 
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["classify", "--help"]):
