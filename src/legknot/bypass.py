@@ -65,7 +65,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .classify import MAX_ROWS
 from .errors import (
     NonTermination,
     NotAnEdge,
@@ -73,6 +72,7 @@ from .errors import (
     ParityError,
     TaxonomyError,
     Unsupported,
+    check_rows,
     decimal,
 )
 from .lattice import (
@@ -220,12 +220,11 @@ def make_config(spec: str) -> DividingConfig:
                 raise TaxonomyError("closed count must look like '+2c'")
             closed = _count(closed_text[:-1], "closed-curve count")
         return type_i(*_class_spec(body), closed)
+    build = {"II": type_ii, "III": type_iii}.get(kind_text)
+    if build is None:
+        raise TaxonomyError("unknown configuration kind %r" % kind_text)
     slopes, mults = zip(*(_class_spec(part) for part in body.split(",")))
-    if kind_text == "II":
-        return type_ii(slopes, mults)
-    if kind_text == "III":
-        return type_iii(slopes, mults)
-    raise TaxonomyError("unknown configuration kind %r" % kind_text)
+    return build(slopes, mults)
 
 
 def monodromy_config(c: DividingConfig, k: int) -> DividingConfig:
@@ -371,7 +370,7 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
     destabilizes in one move.  The moves are deterministic: the one move
     forced on each representative, never a collapse to one arc class.  The
     move count is known before the first move: a limit below it raises
-    NonTermination, and a count above classify.MAX_ROWS is Unsupported,
+    NonTermination, and a count above errors.MAX_ROWS is Unsupported,
     both before any move is taken.  A walk that disagrees with its count
     raises NonTermination too, which indicates a bug rather than a
     mathematical outcome.  A negative limit is Unsupported.
@@ -396,8 +395,7 @@ def normalize(c: DividingConfig, step_limit: int | None = None) -> Normalization
         raise NonTermination(
             "no terminal form within %d steps: %s takes %d" % (step_limit, c, count)
         )
-    if count > MAX_ROWS:
-        raise Unsupported("%s takes %d moves, more than the cap of %d" % (c, count, MAX_ROWS))
+    check_rows(count, "%s takes %d moves", c)
 
     back = monodromy_matrix(-shift) if shift else None
     mapped = {}

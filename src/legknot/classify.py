@@ -34,7 +34,7 @@ per depth: at depth d, -top - d + 2i (0 <= i <= top + d) is realizable iff
 i mod h lies in [0, d] or [top, top + d] (the residue rule).
 
 The enumerations (peak_rotations, valley_rows, MountainRange) count
-their output exactly before building it and raise Unsupported past MAX_ROWS.
+their output exactly before building it and raise Unsupported past errors.MAX_ROWS.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .errors import InvalidKnot, NotAdjacent, Unrealizable, Unsupported, decimal
+from .errors import InvalidKnot, NotAdjacent, Unrealizable, Unsupported, check_rows, decimal
 
 __all__ = [
     "Sign", "Verdict", "KnotType", "LegendrianClass", "Peak", "MountainRange", "BoundsReport",
@@ -51,8 +51,6 @@ __all__ = [
     "peaks", "realizable", "decide_isotopy", "stabilize_class", "mountain_range",
     "common_destabilization", "bounds_report", "peak_progression", "valley_rows",
 ]
-
-MAX_ROWS = 10**6  # the most rows an enumeration builds
 
 
 class Sign(Enum):
@@ -156,15 +154,10 @@ def peak_progression(k: KnotType) -> tuple[int, int, int]:
     return -k.p - k.q, -k.p // k.q, k.q
 
 
-def _check_rows(k: KnotType, rows: int) -> None:
-    if rows > MAX_ROWS:
-        raise Unsupported("%s: up to %d rows, more than the cap of %d" % (k, rows, MAX_ROWS))
-
-
 def peak_rotations(k: KnotType) -> list[int]:
     """Rotation numbers realized at maximal tb, ascending: the two progressions interleaved."""
     top, count, h = peak_progression(k)
-    _check_rows(k, 2 * count)
+    check_rows(2 * count, "%s: up to %d rows", k)
     rots = [0] * (2 * count)
     rots[::2] = range(-top, 2 * count * h - top, 2 * h)
     rots[1::2] = range(top - 2 * (count - 1) * h, top + 1, 2 * h)
@@ -223,7 +216,7 @@ def stabilize_class(c: LegendrianClass, sign: Sign) -> LegendrianClass:
 @dataclass(frozen=True)
 class MountainRange:
     """All realizable (tb, rot) pairs down to a given depth below the top:
-    checked against MAX_ROWS at construction, enumerated only when read."""
+    checked against errors.MAX_ROWS at construction, enumerated only when read."""
 
     knot: KnotType
     depth: int
@@ -231,7 +224,7 @@ class MountainRange:
     def __post_init__(self):
         if self.depth < 0:
             raise Unsupported("depth must be non-negative")
-        _check_rows(self.knot, _range_rows(self.knot, self.depth))
+        check_rows(_range_rows(self.knot, self.depth), "%s: up to %d rows", self.knot)
 
     def rows(self):
         """(tb, rots) for each depth from the top down, rots ascending: the residue rule."""
@@ -265,7 +258,7 @@ def mountain_range(k: KnotType, depth: int) -> MountainRange:
 def valley_rows(k: KnotType) -> list[tuple[int, range]]:
     """The valleys as (tb, rots) rows, tb descending and rots ascending."""
     top, count, q = peak_progression(k)
-    _check_rows(k, 2 * count)
+    check_rows(2 * count, "%s: up to %d rows", k)
     if not top:  # one peak: not a negative torus knot
         return []
     t, e = max_tb(k), top % q

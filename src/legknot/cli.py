@@ -7,15 +7,14 @@ exact move count.  ``main`` hands a call that names a subcommand straight to
 that subcommand's parser, as the top-level parser would, and any other call
 to the top level, which prints help or reports a usage error (invalid input
 too, exit 1).  Each subparser names a handler, which makes every refusal
-first (MountainRange constructor; peak count of ``classify``, after its
-tb/rot check, and of ``valleys``; term count of ``farey-cf``; move count and
-step limit of ``bypass-normalize``), then returns its exit code and text
-chunks: one per tb row for ``range`` and ``valleys`` (per 4,096 values of a
-longer row, as in the ``classify`` peak line), one per line for
-``bypass-normalize``, else one.  ``main`` writes them as they come, so exits
-1 and 3 leave stdout empty; an error mid-stream leaves the partial stdout,
-one ``error:`` line and exit 1 (3 for NonTermination); and a reader that
-closes stdout early ends the run quietly, with the handler's exit code.
+first (``errors.check_rows`` refuses any output past the one cap), then
+returns its exit code and text chunks: one per tb row for ``range`` and
+``valleys`` (per 4,096 values of a longer row, as in the ``classify`` peak
+line), one per line for ``bypass-normalize``, else one.  ``main`` writes
+them as they come, so exits 1 and 3 leave stdout empty; an error mid-stream
+leaves the partial stdout, one ``error:`` line and exit 1 (3 for
+NonTermination); and a reader that closes stdout early ends the run
+quietly, with the handler's exit code.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import os
 import sys
 
 from . import bypass, classify, convex, front, lattice, transversal
-from .errors import LegknotError, NonTermination, Unsupported, decimal
+from .errors import LegknotError, NonTermination, check_rows, decimal
 
 __all__ = ["main", "render_range"]
 _CHUNK = 2**12  # the most values that one chunk formats
@@ -121,9 +120,7 @@ def _isotopic(args):
 def _farey_cf(args):
     blocks = lattice.neg_cf_blocks(args.p, args.q)
     terms = sum(run for _, run in blocks)
-    if terms > classify.MAX_ROWS:
-        raise Unsupported("-%d/%d has %d continued-fraction terms, more than the cap of %d"
-                          % (args.p, args.q, terms, classify.MAX_ROWS))
+    check_rows(terms, "-%d/%d has %d continued-fraction terms", args.p, args.q)
     return 0, ["".join(("%d " % r) * run for r, run in blocks)[:-1] + "\n"]
 
 

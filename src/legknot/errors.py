@@ -1,13 +1,20 @@
-"""Exception types, and the integer grammar, shared across the library."""
+"""Exception types, the integer grammar and the output cap, shared across the library."""
+
+MAX_ROWS = 10**6  # the most rows, terms or moves that any output lists
+
+
+def check_rows(count: int, what: str, *args) -> None:
+    """Refuse up front an output of count rows above MAX_ROWS; what % (*args, count) names it."""
+    if count > MAX_ROWS:
+        raise Unsupported("%s, more than the cap of %d" % (what % (*args, count), MAX_ROWS))
 
 
 def decimal(text: str) -> int:
     """The integer grammar of every parser: ASCII digits with an optional '-'
     and spaces around.  int() alone also takes '+', '_' and non-ASCII digits."""
-    if not (text.isdigit() and text.isascii()):  # plain digits need no more checks
-        digits = text.strip().removeprefix("-")
-        if not (digits.isdigit() and digits.isascii()):
-            raise ValueError("must be a decimal integer, got %r" % text)
+    digits = text.strip().removeprefix("-")
+    if not (digits.isdigit() and digits.isascii()):
+        raise ValueError("must be a decimal integer, got %r" % text)
     try:
         return int(text)
     except ValueError:  # more digits than the interpreter converts

@@ -98,6 +98,8 @@ def iterated_max_sl(cables: list[tuple[int, int]]) -> int:
     """
     if not cables:
         raise InvalidCable("cabling list is empty")
+    a = 0
+    b = 1
     for p, q in cables:
         if p == 0 or not 0 < q < abs(p):
             raise InvalidCable("cable (%d, %d) violates 0 < q < |p|" % (p, q))
@@ -105,9 +107,6 @@ def iterated_max_sl(cables: list[tuple[int, int]]) -> int:
             raise InvalidCable("cable (%d, %d) is not coprime" % (p, q))
         if p < 0 and len(cables) > 1:
             raise InvalidCable("negative cable (%d, %d) is supported only on its own" % (p, q))
-    a = 0
-    b = 1
-    for p, q in cables:
         a = q * a + (q - 1) * p
         b *= q
     return a - b

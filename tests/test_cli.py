@@ -18,7 +18,7 @@ from helpers import (
     listed_peaks,
     range_pairs,
 )
-from legknot import classify, convex, lattice
+from legknot import classify, convex, errors, lattice
 from legknot.classify import max_tb, mountain_range, torus, unknot
 from legknot.cli import _build_parser, main, render_range
 from legknot.errors import LegknotError, NonTermination
@@ -469,7 +469,7 @@ class TestFareyCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert "1000001 continued-fraction terms" in captured.err
-        monkeypatch.setattr(classify, "MAX_ROWS", 6)  # 7/6 has 6 terms, 8/7 has 7
+        monkeypatch.setattr(errors, "MAX_ROWS", 6)  # 7/6 has 6 terms, 8/7 has 7
         assert run(capsys, "farey-cf", "7", "6") == (0, " ".join(["-2"] * 6) + "\n")
         assert run(capsys, "farey-cf", "8", "7") == (1, "")
 
@@ -481,6 +481,31 @@ class TestFareyCommands:
         assert run(capsys, "farey-count", "1000000002", "1000000001") == (0, "2\n")
         # -(10^9 + 3)/4 = -250000001 - 1/(-4): 250000000 * 4 structures
         assert run(capsys, "farey-count", "1000000003", "4") == (0, "1000000000\n")
+
+
+class TestOutputCap:
+    """errors.MAX_ROWS is the one cap: every listing reads it, and refuses past it up front."""
+
+    @pytest.mark.parametrize("at_cap, over_cap, err", [
+        (["classify", "torus:-7,2"], ["classify", "torus:-9,2"],  # 6 and 8 peaks
+         "torus:-9,2: up to 8 rows"),
+        (["valleys", "--knot", "torus:-7,2"], ["valleys", "--knot", "torus:-9,2"],
+         "torus:-9,2: up to 8 rows"),  # counted by peaks, as in classify
+        (["range", "--knot", "unknot", "--depth", "2"],  # 6 and 10 pairs
+         ["range", "--knot", "unknot", "--depth", "3"], "unknot: up to 10 rows"),
+        (["farey-cf", "7", "6"], ["farey-cf", "8", "7"],  # 6 and 7 terms
+         "-8/7 has 7 continued-fraction terms"),
+        (["bypass-normalize", "III:0,1/7,1/6"], ["bypass-normalize", "III:0,1/8,1/7"],
+         "III:0x1,1/8x1,1/7x1 takes 7 moves"),  # 6 and 7 moves
+    ], ids=["classify", "valleys", "range", "farey-cf", "bypass-normalize"])
+    def test_one_cap_for_every_listing(self, capsys, monkeypatch, at_cap, over_cap, err):
+        monkeypatch.setattr(errors, "MAX_ROWS", 6)
+        code, out = run(capsys, *at_cap)
+        assert code == 0 and out
+        assert main(over_cap) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s, more than the cap of 6\n" % err
 
 
 class TestBypassCommand:
@@ -518,6 +543,14 @@ class TestBypassCommand:
             assert main(["bypass-normalize", spec]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("spec", ["IV:abc", "IV:1,2,inf", "X:", "i:infx5+1c"])
+    def test_unknown_kind_named_before_the_body_is_parsed(self, capsys, spec):
+        assert main(["bypass-normalize", spec]) == 1
+        captured = capsys.readouterr()
+        kind = spec.split(":")[0]
+        assert captured.out == ""
+        assert captured.err == "error: unknown configuration kind %r\n" % kind
+
 
 class TestTransversalCommands:
     def test_max_sl(self, capsys):
@@ -527,6 +560,14 @@ class TestTransversalCommands:
     def test_iterated(self, capsys):
         code, out = run(capsys, "transversal-iterated", "3,2;5,2")
         assert code == 0 and out == "7\n"
+
+    def test_lone_negative_cable_follows_double_dash(self, capsys):
+        assert run(capsys, "transversal-iterated", "--", "-3,2") == (0, "-5\n")
+        # without '--', argparse reads '-3,2' as an option and the cabling list is missing
+        assert main(["transversal-iterated", "-3,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_bounds(self, capsys):
         code, out = run(capsys, "bounds", "torus:-5,3")

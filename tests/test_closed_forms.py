@@ -28,7 +28,6 @@ from helpers import (
 )
 from legknot import classify, transversal
 from legknot.classify import (
-    MAX_ROWS,
     LegendrianClass,
     Peak,
     Sign,
@@ -43,7 +42,7 @@ from legknot.classify import (
     unknot,
 )
 from legknot.cli import main
-from legknot.errors import NotAdjacent, Unsupported
+from legknot.errors import MAX_ROWS, NotAdjacent, Unsupported
 from legknot.transversal import is_realizable_sl, max_sl
 
 def _valley(k, a, b):

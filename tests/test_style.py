@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 MAX_LINE = 99
 # `wc -l src/legknot/*.py` may go down or stay flat, never up; set this
 # number to it with any change that shrinks the library
-SRC_LINES = 1977
+SRC_LINES = 1971
 
 
 def test_no_line_over_the_limit():
